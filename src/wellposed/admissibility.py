@@ -85,7 +85,7 @@ def control_gram(sys: SpectralSystem, t0: float) -> tuple[np.ndarray, float]:
     return gram, m_ctl
 
 
-def pair_constant(sys: SpectralSystem, scan: MultiplierReport | None) -> PairInterval:
+def pair_constant(scan: MultiplierReport | None) -> PairInterval:
     """Norm sandwich for the input-output operator at p = 2: by Plancherel it
     equals the essential sup of the multiplier symbol, which the scan brackets
     as [gridSup, upperBound]."""
@@ -127,7 +127,7 @@ def admissibility_report(sys: SpectralSystem, t0: float,
     """Assemble the local constants and their global extensions in one report."""
     _, m_obs = observation_gram(sys, t0)
     _, m_ctl = control_gram(sys, t0)
-    pair = pair_constant(sys, scan)
+    pair = pair_constant(scan)
     consts = global_constants(m_obs, m_ctl, pair.upper, sys.gen.k,
                               sys.gen.omega, p, t0)
     return AdmissibilityReport(t0, p, m_obs, m_ctl, pair, consts,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionError, DomainError, SchemaError
 
@@ -233,8 +232,8 @@ def exp_conv_final(alpha, sig: Signal, t: float) -> np.ndarray:
 def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
     """x(k dt) = int_0^{k dt} e^(alpha (k dt - r)) v(r) dr on sig's grid, k = 0..n_steps.
 
-    Evaluated by the exact one-step recurrence x_{k+1} = e^(alpha dt) x_k + g_k
-    (a linear IIR filter per mode). Requires sig.t0 == 0. Returns
+    Evaluated by the exact one-step recurrence x_{k+1} = e^(alpha dt) x_k + g_k,
+    stepped in time and vectorised over modes. Requires sig.t0 == 0. Returns
     (n_steps + 1, N).
     """
     alpha = np.asarray(alpha, dtype=complex)
@@ -243,21 +242,21 @@ def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
         raise DomainError(f"trajectory convolution requires grid start 0, got {sig.t0}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0, got {n_steps}")
-    nmodes = alpha.shape[0]
-    out = np.zeros((n_steps + 1, nmodes), dtype=complex)
+    out = np.zeros((n_steps + 1, alpha.shape[0]), dtype=complex)
     if n_steps == 0:
         return out
     w = alpha * sig.dt
     p1 = phi1(w)
     p2 = phi2(w)
-    g = np.zeros((n_steps, nmodes), dtype=complex)
     nseg = min(n_steps, sig.n_samples - 1)
     if nseg > 0:
         v = sig.samples[:nseg + 1]
-        g[:nseg] = sig.dt * (v[:-1] * p1[None, :] + np.diff(v, axis=0) * p2[None, :])
+        out[1:nseg + 1] = sig.dt * (v[:-1] * p1[None, :] + np.diff(v, axis=0) * p2[None, :])
+    # out[k + 1] holds g_k until the step below turns it into x_{k+1}
     decay = np.exp(w)
-    for m in range(nmodes):
-        out[1:, m] = lfilter([1.0], [1.0, -decay[m]], g[:, m])
+    rows = list(out)
+    for prev, cur in zip(rows[1:], rows[2:]):
+        cur += decay * prev
     return out
 
 

@@ -142,7 +142,7 @@ class TestPairConstant:
     def test_wraps_scan_interval(self):
         sys = scalar_system()
         scan = m13_sup_scan(sys, 50.0, 501)
-        pair = pair_constant(sys, scan)
+        pair = pair_constant(scan)
         assert isinstance(pair, PairInterval)
         assert pair.lower == scan.grid_sup
         assert pair.upper == scan.upper_bound
@@ -150,7 +150,7 @@ class TestPairConstant:
 
     def test_requires_scan(self):
         with pytest.raises(PreconditionError):
-            pair_constant(scalar_system(), None)
+            pair_constant(None)
 
 
 class TestGlobalConstants:
@@ -225,7 +225,7 @@ class TestReport:
     def test_output_energy_bounded_by_pair_constant(self):
         sys = build_heat_system(HeatConfig(n_modes=16))
         scan = m13_sup_scan(sys, 200.0, 2001)
-        pair = pair_constant(sys, scan)
+        pair = pair_constant(scan)
         rng = np.random.default_rng(53)
         t, dt = 3.0, 1e-2
         n = int(round(t / dt))

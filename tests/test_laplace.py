@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wellposed import laplace
 from wellposed.errors import DimensionError, DomainError
 from wellposed.heat import HeatConfig, build_heat_system
 from wellposed.laplace import ResolventCheck, laplace_transform, verify_resolvent_entries
@@ -157,6 +158,24 @@ class TestVerifyResolventEntries:
         assert check.passed
         for entry in check.entries:
             assert entry.quad_budget + entry.tail_budget <= 1e-4
+
+    def test_one_forced_trajectory_per_check(self, monkeypatch):
+        # r23 and every r13 offset read prefixes of a single trajectory
+        real = laplace.exp_conv_trajectory
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(laplace, "exp_conv_trajectory", counting)
+        sys = build_heat_system(HeatConfig(n_modes=8))
+        check = verify_resolvent_entries(sys, 1.0, np.ones(8) / 4.0,
+                                         poly_input(1e-2, width=2),
+                                         t_max=10.0, dt=1e-2)
+        assert check.s_values == (0.0, -0.5, -1.0)
+        assert check.passed
+        assert calls == [1000]
 
     def test_residuals_converge_second_order(self):
         sys = scalar_system(d=0.2)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import wellposed
 from wellposed.errors import DimensionError, DomainError, SchemaError
 from wellposed.signals import (
     Signal,
@@ -199,6 +205,63 @@ def test_conv_trajectory_stiff_mode_stable():
 def test_conv_trajectory_requires_zero_start():
     with pytest.raises(DomainError):
         exp_conv_trajectory([-1.0], Signal(0.5, 0.1, np.ones(3)), 2)
+
+
+def _lfilter_trajectory(alpha, sig, n_steps):
+    # reference: the same recurrence run as one IIR filter per mode
+    alpha = np.asarray(alpha, dtype=complex)
+    nmodes = alpha.shape[0]
+    out = np.zeros((n_steps + 1, nmodes), dtype=complex)
+    if n_steps == 0:
+        return out
+    w = alpha * sig.dt
+    p1 = phi1(w)
+    p2 = phi2(w)
+    g = np.zeros((n_steps, nmodes), dtype=complex)
+    nseg = min(n_steps, sig.n_samples - 1)
+    if nseg > 0:
+        v = sig.samples[:nseg + 1]
+        g[:nseg] = sig.dt * (v[:-1] * p1[None, :] + np.diff(v, axis=0) * p2[None, :])
+    decay = np.exp(w)
+    for m in range(nmodes):
+        out[1:, m] = lfilter([1.0], [1.0, -decay[m]], g[:, m])
+    return out
+
+
+_SPECTRA = {
+    "real": np.array([-0.3, -1.0, -7.5, -40.0]),
+    "complex": np.array([-0.3 + 2.0j, -1.0 - 5.0j, -7.5 + 0.5j, -0.01 + 30.0j]),
+    "stiff": -(math.pi * np.arange(1, 5)) ** 4 + 0.0j,
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
+@pytest.mark.parametrize("n_samples,n_steps", [
+    (21, 0), (21, 1), (21, 8), (21, 20), (21, 45), (1, 0), (1, 6),
+])
+def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps):
+    alpha = _SPECTRA[spectrum]
+    rng = np.random.default_rng(n_samples * 100 + n_steps)
+    sig = Signal(0.0, 0.05, rng.standard_normal((n_samples, alpha.shape[0])))
+    got = exp_conv_trajectory(alpha, sig, n_steps)
+    want = _lfilter_trajectory(alpha, sig, n_steps)
+    assert got.shape == want.shape == (n_steps + 1, alpha.shape[0])
+    if spectrum == "real":
+        # the certificate's bytes rely on bit-identical trajectories here
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal would dominate the package's import time and memory
+    src = str(Path(wellposed.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, wellposed; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_csv_round_trip(tmp_path):
