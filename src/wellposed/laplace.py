@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .signals import Signal, exp_conv_trajectory, phi1, phi2, resample, values_at
+from .signals import (
+    Signal,
+    exp_conv_blocks,
+    phi1,
+    phi2,
+    resample,
+    row_blocks,
+    segment_weights,
+    values_at,
+)
 from .spectral import as_state, resolvent_apply
 from .system import SpectralSystem
 
@@ -90,19 +99,18 @@ def laplace_transform(sig: Signal, lam: complex,
             value += np.exp(-lam * knots[ka]) * ha * (u0 * phi1(w) + (u1 - u0) * phi2(w))
         if ka < sig.n_samples - 1:
             w = lam * h
-            p1, p2 = phi1(w), phi2(w)
-            u_lo = sig.samples[ka:-1]
-            du = np.diff(sig.samples[ka:], axis=0)
-            weights = h * (u_lo * p1 + du * p2)
+            weights = segment_weights(sig.samples[ka:], h, phi1(w), phi2(w))
             factors = np.exp(-lam * knots[ka + 1:])
             value += np.sum(factors[:, None] * weights, axis=0)
     if tail is None:
-        tail_bound = 0.0
-    else:
-        t_end = max(b, 0.0)
-        tail_bound = (k_t * np.exp((omega_t - lam.real) * t_end)
-                      / (lam.real - omega_t) * amp_t)
-    return value, float(tail_bound)
+        return value, 0.0
+    return value, _tail_bound(lam, max(b, 0.0), k_t, omega_t, amp_t)
+
+
+def _tail_bound(lam: complex, t_end: float, k: float, omega: float,
+                amp: float) -> float:
+    """Transform of the envelope amp * k * e^(omega r) over r > t_end."""
+    return float(k * np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
 
 
 def _free_output_transform(alpha: np.ndarray, c: np.ndarray, x: np.ndarray,
@@ -134,20 +142,33 @@ def _free_output_transform(alpha: np.ndarray, c: np.ndarray, x: np.ndarray,
     tail = 0.0
     for i, (t0, h, n) in enumerate(pieces):
         grid = t0 + h * np.arange(n + 1)
-        y = (np.exp(np.outer(grid + s, alpha)) * x) @ c.T
+        # only the K outputs are stored; the (rows, N) modes live one block at a time
+        y = np.empty((n + 1, c.shape[0]), dtype=complex)
+        for a, b in row_blocks(n + 1, alpha.shape[0]):
+            y[a:b] = (np.exp(np.outer(grid[a:b] + s, alpha)) * x) @ c.T
         last = i == len(pieces) - 1
         piece_tail = (1.0, omega, amp) if last else None
         v, tb = laplace_transform(Signal(t0, h, y), lam, piece_tail)
         value += v
-        quad += _quad_budget(y, grid, h, lam, "max")
+        quad += _quad_budget(y, grid, h, lam)
         if last:
             tail = tb
     return value, quad, tail
 
 
+def _second_differences(samples: np.ndarray, grid: np.ndarray, lam: complex
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Second differences at the interior knots of samples (dt^2 f'' there)
+    and the kernel decay e^(-Re lam t) at those knots."""
+    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
+    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
+    return d2, decay
+
+
 def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
-                 lam: complex, reduce: str) -> float:
-    """A-posteriori bound on the sampling error of the transform.
+                 lam: complex) -> float:
+    """A-posteriori bound on the sampling error of the transform, taken over
+    the worst component.
 
     The interpolation error on one segment is about (dt^3/12) f'' times the
     kernel; second differences estimate dt^2 f'', and summing their moduli
@@ -155,13 +176,8 @@ def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
     """
     if samples.shape[0] < 3:
         return 0.0
-    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
-    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
-    if reduce == "max":
-        per_component = np.sum(np.abs(d2) * decay[:, None], axis=0)
-        total = float(np.max(per_component))
-    else:
-        total = float(np.sum(np.linalg.norm(d2, axis=1) * decay))
+    d2, decay = _second_differences(samples, grid, lam)
+    total = float(np.max(np.sum(np.abs(d2) * decay[:, None], axis=0)))
     return _QUAD_SAFETY * (dt / 12.0) * total
 
 
@@ -180,6 +196,19 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
 
     The input keeps its support inside the sampled horizon so the exponential
     tail envelopes stay valid.
+
+    No (steps, N) array is held. The forced trajectory comes from
+    exp_conv_blocks one block of rows at a time, and each block is folded in
+    before the next is formed: its K output rows go into the one (steps + 1, K)
+    array that r13 reads by prefix; r23's Laplace terms are added to a running
+    N-vector that seeds the block's axis-0 sum, so the total is the same
+    row-by-row sum as over the whole trajectory (numpy sums axis 0 row by row
+    when N > 1; a single mode's column is summed pairwise within each block and
+    can differ in the last bits); each interior row's ||d2|| * decay goes into
+    one (steps - 1) vector that is summed once at the end; and only the rows
+    the tail envelopes need are kept. The free outputs of r12, including the
+    stiff fine sub-grid, are formed in row blocks too. The drive u B^T is formed
+    over the input's support only, since past it g_k is zero.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -222,32 +251,63 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         res12, quad12, tail12 = max(res12, residual), max(quad12, qb), max(tail12, tb)
         ok12 = ok12 and residual <= qb + tb
 
-    # aligned resampling from 0 and a sequential recurrence make each r13 horizon a prefix of traj
+    # r23 and r13: one forced trajectory, streamed in row blocks
     steps = int(round(t_max / dt))
+    r13_steps = [int(round((t_max + s) / dt)) for s in s_values]
     u_grid = resample(u, 0.0, dt, steps + 1).samples
-    traj = exp_conv_trajectory(alpha, Signal(0.0, dt, u_grid @ sys.control.T), steps)
-    y = traj @ c.T + u_grid @ sys.feedthrough.T
+    # past the input's last nonzero sample the drive is zero and forms no g_k
+    live = np.flatnonzero(np.any(u_grid != 0.0, axis=1))
+    n_drive = min(int(live[-1]) + 2, steps + 1) if live.size else 1
+    drive = Signal(0.0, dt, u_grid[:n_drive] @ sys.control.T)
+    y = u_grid @ sys.feedthrough.T
+    w = lam * dt
+    p1, p2 = phi1(w), phi2(w)
+    num23 = np.zeros(sys.n_modes, dtype=complex)
+    curv23 = np.empty(max(steps - 1, 0))
+    ends = {}
+    back = np.empty((0, sys.n_modes), dtype=complex)
+    k0 = 0
+    for block in exp_conv_blocks(alpha, drive, steps):
+        k1 = k0 + block.shape[0]
+        y[k0:k1] += block @ c.T
+        for k in r13_steps + [steps]:
+            if k0 <= k < k1:
+                ends[k] = block[k - k0].copy()
+        # the window adds the two rows before the block, which its first
+        # segment and second differences reach back to
+        window = np.concatenate([back, block])
+        w0 = k0 - back.shape[0]
+        first = max(k0, 1)
+        terms = np.empty((k1 - first + 1, sys.n_modes), dtype=complex)
+        terms[0] = num23
+        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None],
+                    segment_weights(window[first - 1 - w0:], dt, p1, p2), out=terms[1:])
+        num23 = np.sum(terms, axis=0)
+        d2, decay = _second_differences(window, dt * np.arange(w0, k1), lam)
+        curv23[w0:w0 + d2.shape[0]] = np.linalg.norm(d2, axis=1) * decay
+        back = window[-2:]
+        k0 = k1
 
     # r23: controlled state transformed componentwise
-    grid = dt * np.arange(steps + 1)
-    amp23 = float(np.linalg.norm(traj[-1])) * np.exp(-omega * grid[-1])
-    num23, tail23 = laplace_transform(Signal(0.0, dt, traj), lam, (1.0, omega, amp23))
+    t_end = dt * steps
+    amp23 = float(np.linalg.norm(ends[steps])) * np.exp(-omega * t_end)
+    tail23 = _tail_bound(lam, t_end, 1.0, omega, amp23)
     res23 = float(np.linalg.norm(num23 - state_hat))
-    quad23 = _quad_budget(traj, grid, dt, lam, "norm")
+    # _quad_budget's estimate, with the norm over modes in place of the worst component
+    quad23 = _QUAD_SAFETY * (dt / 12.0) * float(np.sum(curv23))
     ok23 = res23 <= quad23 + tail23
 
     # r13: forced output block at fixed offsets
     res13 = quad13 = tail13 = 0.0
     ok13 = True
     closed_out = c @ state_hat + sys.feedthrough @ u_hat
-    for s in s_values:
-        steps = int(round((t_max + s) / dt))
-        grid = -s + dt * np.arange(steps + 1)
-        y_s = y[:steps + 1]
-        amp13 = float(np.sum(col_norm * np.abs(traj[steps]))) * np.exp(-omega * grid[-1])
+    for s, steps_s in zip(s_values, r13_steps):
+        grid = -s + dt * np.arange(steps_s + 1)
+        y_s = y[:steps_s + 1]
+        amp13 = float(np.sum(col_norm * np.abs(ends[steps_s]))) * np.exp(-omega * grid[-1])
         num, tb = laplace_transform(Signal(-s, dt, y_s), lam, (1.0, omega, amp13))
         residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_out)))
-        qb = _quad_budget(y_s, grid, dt, lam, "max")
+        qb = _quad_budget(y_s, grid, dt, lam)
         res13, quad13, tail13 = max(res13, residual), max(quad13, qb), max(tail13, tb)
         ok13 = ok13 and residual <= qb + tb
 

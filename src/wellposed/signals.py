@@ -30,6 +30,10 @@ _PHI2_COEF = [1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)]
 
 _GRID_REL_TOL = 1e-9
 
+# rows x columns of one block in the routines that stream over time, so the
+# memory of a block does not grow with the number of modes
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _phi_series(z: np.ndarray, coef) -> np.ndarray:
     acc = np.full_like(z, coef[-1])
@@ -75,6 +79,32 @@ def exp_segment_integral(alpha: complex, T: float, r0: float, r1: float,
     w = alpha * h
     seg = complex(u0) * phi1(w) + (complex(u1) - complex(u0)) * phi2(w)
     return complex(np.exp(alpha * (T - r1)) * h * seg)
+
+
+def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
+    """h * (v_k p1 + (v_{k+1} - v_k) p2) for each segment between consecutive rows of v.
+
+    With p1 = phi1(alpha h) and p2 = phi2(alpha h) these are the exact segment
+    integrals above without their e^(alpha (T - r1)) factor. Returns one row
+    fewer than v.
+    """
+    return h * (v[:-1] * p1 + np.diff(v, axis=0) * p2)
+
+
+def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) row ranges covering n_rows rows of the given
+    width, each of about _BLOCK_ELEMENTS elements.
+
+    Every range has at least two rows unless n_rows == 1: numpy multiplies a
+    one-row matrix through BLAS's dot rather than its matrix path, which
+    rounds differently, so a product taken range by range would no longer
+    reproduce the rows of the whole product.
+    """
+    rows = max(2, _BLOCK_ELEMENTS // max(width, 1))
+    starts = list(range(0, n_rows, rows))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_rows]))
 
 
 @dataclass(frozen=True)
@@ -138,11 +168,17 @@ def value_at(sig: Signal, t: float) -> np.ndarray:
 
 
 def resample(sig: Signal, t0: float, dt: float, n: int) -> Signal:
-    """Sample the interpolant onto a new grid (exact when grids are aligned)."""
+    """Sample the interpolant onto a new grid.
+
+    On the signal's own grid (same t0 and dt) the samples are copied and
+    zero-padded, so the result is exact whatever n is.
+    """
     if n < 1:
         raise DimensionError(f"resample needs n >= 1, got {n}")
-    if t0 == sig.t0 and dt == sig.dt and n <= sig.n_samples:
-        return Signal(t0, dt, sig.samples[:n])
+    if t0 == sig.t0 and dt == sig.dt:
+        out = np.zeros((n, sig.width), dtype=sig.samples.dtype)
+        out[:sig.n_samples] = sig.samples[:n]
+        return Signal(t0, dt, out)
     return Signal(t0, dt, values_at(sig, t0 + dt * np.arange(n)))
 
 
@@ -219,8 +255,7 @@ def exp_conv_final(alpha, sig: Signal, t: float) -> np.ndarray:
         w = alpha * sig.dt
         p1 = phi1(w)
         p2 = phi2(w)
-        v = sig.samples[ka:kb + 1]
-        weights = sig.dt * (v[:-1] * p1[None, :] + np.diff(v, axis=0) * p2[None, :])
+        weights = segment_weights(sig.samples[ka:kb + 1], sig.dt, p1, p2)
         r_right = sig.t0 + sig.dt * np.arange(ka + 1, kb + 1)
         decay = np.exp(np.outer(t - r_right, alpha))
         out += np.sum(decay * weights, axis=0)
@@ -229,12 +264,15 @@ def exp_conv_final(alpha, sig: Signal, t: float) -> np.ndarray:
     return out
 
 
-def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
-    """x(k dt) = int_0^{k dt} e^(alpha (k dt - r)) v(r) dr on sig's grid, k = 0..n_steps.
+def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
+    """Yield x(k dt) = int_0^{k dt} e^(alpha (k dt - r)) v(r) dr on sig's grid,
+    k = 0..n_steps, as consecutive blocks of rows (see row_blocks).
 
     Evaluated by the exact one-step recurrence x_{k+1} = e^(alpha dt) x_k + g_k,
-    stepped in time and vectorised over modes. Requires sig.t0 == 0. Returns
-    (n_steps + 1, N).
+    stepped in time and vectorised over modes. Each block forms its own segment
+    integrals g_k and carries its last row into the next, so no
+    (n_steps + 1, N) array is held. Requires sig.t0 == 0; the arguments are
+    checked on the call, before the first block.
     """
     alpha = np.asarray(alpha, dtype=complex)
     _paired(alpha, sig)
@@ -242,21 +280,41 @@ def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
         raise DomainError(f"trajectory convolution requires grid start 0, got {sig.t0}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0, got {n_steps}")
-    out = np.zeros((n_steps + 1, alpha.shape[0]), dtype=complex)
-    if n_steps == 0:
-        return out
+    return _conv_blocks(alpha, sig, n_steps)
+
+
+def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
     w = alpha * sig.dt
     p1 = phi1(w)
     p2 = phi2(w)
-    nseg = min(n_steps, sig.n_samples - 1)
-    if nseg > 0:
-        v = sig.samples[:nseg + 1]
-        out[1:nseg + 1] = sig.dt * (v[:-1] * p1[None, :] + np.diff(v, axis=0) * p2[None, :])
-    # out[k + 1] holds g_k until the step below turns it into x_{k+1}
     decay = np.exp(w)
-    rows = list(out)
-    for prev, cur in zip(rows[1:], rows[2:]):
-        cur += decay * prev
+    nseg = min(n_steps, sig.n_samples - 1)
+    carry = None
+    for k0, k1 in row_blocks(n_steps + 1, alpha.shape[0]):
+        block = np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
+        # row k holds g_{k-1} until the step below turns it into x_k
+        lo, hi = max(k0, 1), min(k1, nseg + 1)
+        if hi > lo:
+            block[lo - k0:hi - k0] = segment_weights(sig.samples[lo - 1:hi], sig.dt, p1, p2)
+        rows = list(block)
+        if k0 > 1:
+            rows[0] += decay * carry
+        # x_0 = 0 and x_1 = g_0 take no step
+        start = 1 if k0 == 0 else 0
+        for prev, cur in zip(rows[start:], rows[start + 1:]):
+            cur += decay * prev
+        carry = block[-1].copy()
+        yield block
+
+
+def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
+    """The rows of exp_conv_blocks gathered into one (n_steps + 1, N) array."""
+    blocks = exp_conv_blocks(alpha, sig, n_steps)
+    out = np.empty((n_steps + 1, sig.width), dtype=complex)
+    k = 0
+    for block in blocks:
+        out[k:k + block.shape[0]] = block
+        k += block.shape[0]
     return out
 
 

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from wellposed import laplace
+import tracemalloc
+
+from wellposed import laplace, signals
+from wellposed.certificate import _probe_input, _probe_state
 from wellposed.errors import DimensionError, DomainError
 from wellposed.heat import HeatConfig, build_heat_system
 from wellposed.laplace import ResolventCheck, laplace_transform, verify_resolvent_entries
-from wellposed.signals import Signal, values_at
-from wellposed.spectral import DiagonalGenerator
+from wellposed.signals import Signal, exp_conv_trajectory, resample, values_at
+from wellposed.spectral import DiagonalGenerator, resolvent_apply
 from wellposed.system import SpectralSystem
 
 
@@ -160,15 +163,15 @@ class TestVerifyResolventEntries:
             assert entry.quad_budget + entry.tail_budget <= 1e-4
 
     def test_one_forced_trajectory_per_check(self, monkeypatch):
-        # r23 and every r13 offset read prefixes of a single trajectory
-        real = laplace.exp_conv_trajectory
+        # r23 and every r13 offset fold in the blocks of a single trajectory pass
+        real = laplace.exp_conv_blocks
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(laplace, "exp_conv_trajectory", counting)
+        monkeypatch.setattr(laplace, "exp_conv_blocks", counting)
         sys = build_heat_system(HeatConfig(n_modes=8))
         check = verify_resolvent_entries(sys, 1.0, np.ones(8) / 4.0,
                                          poly_input(1e-2, width=2),
@@ -230,3 +233,151 @@ class TestVerifyResolventEntries:
         wide = Signal(0.0, 0.5, np.ones((3, 2)))
         with pytest.raises(DimensionError):
             verify_resolvent_entries(sys, 1.0, [1.0], wide, t_max=10.0, dt=1e-2)
+
+
+def _reference_quad_budget(samples, grid, dt, lam, reduce):
+    if samples.shape[0] < 3:
+        return 0.0
+    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
+    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
+    if reduce == "max":
+        total = float(np.max(np.sum(np.abs(d2) * decay[:, None], axis=0)))
+    else:
+        total = float(np.sum(np.linalg.norm(d2, axis=1) * decay))
+    return 2.0 * (dt / 12.0) * total
+
+
+def _reference_free_output(alpha, c, x, s, t_max, dt, lam, omega, amp):
+    stiff = float(np.max(-alpha.real))
+    horizon = t_max + s
+    pieces = []
+    if stiff * dt > 0.5:
+        t_split = min(24.0 * dt, horizon)
+        n1 = max(1, int(math.ceil(t_split * 4.0 * stiff)))
+        pieces.append((-s, t_split / n1, n1))
+        if t_split < horizon * (1.0 - 1e-12):
+            n2 = max(1, int(round((horizon - t_split) / dt)))
+            pieces.append((-s + t_split, (horizon - t_split) / n2, n2))
+    else:
+        n = max(1, int(round(horizon / dt)))
+        pieces.append((-s, horizon / n, n))
+    value = np.zeros(c.shape[0], dtype=complex)
+    quad = tail = 0.0
+    for i, (t0, h, n) in enumerate(pieces):
+        grid = t0 + h * np.arange(n + 1)
+        y = (np.exp(np.outer(grid + s, alpha)) * x) @ c.T
+        last = i == len(pieces) - 1
+        v, tb = laplace_transform(Signal(t0, h, y), lam, (1.0, omega, amp) if last else None)
+        value += v
+        quad += _reference_quad_budget(y, grid, h, lam, "max")
+        if last:
+            tail = tb
+    return value, quad, tail
+
+
+def _reference_check(sys, lam, x, u, t_max, dt, s_values=(0.0, -0.5, -1.0)):
+    """The resolvent check as it was before streaming: whole (steps, N)
+    trajectories and free outputs, one laplace_transform per entry. Returns
+    (name, residual, quad, tail, passed) per entry."""
+    lam = complex(lam)
+    x = np.asarray(x, dtype=complex)
+    horizon = t_max + min(s_values)
+    alpha = sys.gen.eigenvalues
+    omega = max(sys.gen.omega, -1.0)
+    c = sys.observation
+    col_norm = np.linalg.norm(c, axis=0)
+    u_fine = resample(u, 0.0, dt, int(round(horizon / dt)) + 1)
+    u_hat, _ = laplace_transform(u_fine, lam)
+    state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
+
+    res12 = quad12 = tail12 = 0.0
+    ok12 = True
+    closed_state = c @ resolvent_apply(sys.gen, lam, x)
+    amp12 = float(np.sum(col_norm * np.abs(x)))
+    for s in s_values:
+        num, qb, tb = _reference_free_output(alpha, c, x, s, t_max, dt, lam,
+                                             omega, amp12 * np.exp(omega * s))
+        residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_state)))
+        res12, quad12, tail12 = max(res12, residual), max(quad12, qb), max(tail12, tb)
+        ok12 = ok12 and residual <= qb + tb
+
+    steps = int(round(t_max / dt))
+    u_grid = resample(u, 0.0, dt, steps + 1).samples
+    traj = exp_conv_trajectory(alpha, Signal(0.0, dt, u_grid @ sys.control.T), steps)
+    y = traj @ c.T + u_grid @ sys.feedthrough.T
+
+    grid = dt * np.arange(steps + 1)
+    amp23 = float(np.linalg.norm(traj[-1])) * np.exp(-omega * grid[-1])
+    num23, tail23 = laplace_transform(Signal(0.0, dt, traj), lam, (1.0, omega, amp23))
+    res23 = float(np.linalg.norm(num23 - state_hat))
+    quad23 = _reference_quad_budget(traj, grid, dt, lam, "norm")
+
+    res13 = quad13 = tail13 = 0.0
+    ok13 = True
+    closed_out = c @ state_hat + sys.feedthrough @ u_hat
+    for s in s_values:
+        steps = int(round((t_max + s) / dt))
+        grid = -s + dt * np.arange(steps + 1)
+        y_s = y[:steps + 1]
+        amp13 = float(np.sum(col_norm * np.abs(traj[steps]))) * np.exp(-omega * grid[-1])
+        num, tb = laplace_transform(Signal(-s, dt, y_s), lam, (1.0, omega, amp13))
+        residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_out)))
+        qb = _reference_quad_budget(y_s, grid, dt, lam, "max")
+        res13, quad13, tail13 = max(res13, residual), max(quad13, qb), max(tail13, tb)
+        ok13 = ok13 and residual <= qb + tb
+    return [("r12", res12, quad12, tail12, ok12),
+            ("r23", res23, quad23, tail23, res23 <= quad23 + tail23),
+            ("r13", res13, quad13, tail13, ok13)]
+
+
+def _random_complex_system():
+    rng = np.random.default_rng(11)
+    n, m, k = 6, 2, 2
+    alpha = -rng.uniform(0.5, 40.0, n) + 1j * rng.uniform(-20.0, 20.0, n)
+    gen = DiagonalGenerator(alpha, k=1.0, omega=float(np.max(alpha.real)))
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return SpectralSystem(gen, draw((n, m)), draw((k, n)), draw((k, m)))
+
+
+_BLOCK_CASES = {
+    "heat8": lambda: build_heat_system(HeatConfig(n_modes=8)),
+    "complex": _random_complex_system,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 1001])
+def test_streamed_check_matches_unstreamed_reference(monkeypatch, case, block_rows):
+    # block boundaries anywhere, down to the two-row minimum, leave the check as it was
+    sys = _BLOCK_CASES[case]()
+    monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * sys.n_modes)
+    x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
+    u = poly_input(1e-2, width=sys.n_inputs)
+    lam = 1.0 + 0.5j
+    check = verify_resolvent_entries(sys, lam, x, u, t_max=10.0, dt=1e-2)
+    want = _reference_check(sys, lam, x, u, 10.0, 1e-2)
+    for entry, (name, residual, quad, tail, passed) in zip(check.entries, want):
+        assert entry.name == name
+        assert entry.passed == passed, name
+        np.testing.assert_allclose([entry.residual, entry.quad_budget, entry.tail_budget],
+                                   [residual, quad, tail], rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def test_resolvent_check_memory_bounded():
+    # the certificate's check on 256 heat modes over 40 001 steps: a whole
+    # trajectory alone would take 164 MB
+    sys = build_heat_system(HeatConfig(n_modes=256))
+    x = _probe_state(sys.n_modes)
+    u = _probe_input(sys.n_inputs, 1e-3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 96e6

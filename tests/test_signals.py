@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from scipy.signal import lfilter
 
 import wellposed
+from wellposed import signals
 from wellposed.errors import DimensionError, DomainError, SchemaError
 from wellposed.signals import (
     Signal,
+    exp_conv_blocks,
     exp_conv_final,
     exp_conv_trajectory,
     exp_segment_integral,
@@ -20,6 +23,7 @@ from wellposed.signals import (
     phi2,
     read_signal_csv,
     resample,
+    row_blocks,
     shift_signal,
     value_at,
     values_at,
@@ -113,6 +117,16 @@ def test_resample_aligned_is_exact():
     np.testing.assert_allclose(fine.samples[::2], sig.samples, atol=1e-13)
     np.testing.assert_allclose(fine.samples[1::2, 0], 0.05 + 0.1 * np.arange(10),
                                atol=1e-12)
+
+
+def test_resample_own_grid_longer_pads_exactly():
+    # dt * k / dt rounds below k at some k; the aligned path must not interpolate
+    rng = np.random.default_rng(3)
+    sig = Signal(0.0, 1e-3, rng.standard_normal((20001, 2)))
+    out = resample(sig, 0.0, 1e-3, 40001).samples
+    want = np.concatenate([sig.samples, np.zeros((20000, 2))])
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(resample(sig, 0.0, 1e-3, 5).samples, sig.samples[:5])
 
 
 def test_lp_norm_linear_ramp():
@@ -251,6 +265,53 @@ def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps)
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n_rows,width", [(1, 4), (2, 4), (3, 1), (1000, 3), (10, 1 << 20)])
+def test_row_blocks_cover_rows_with_two_row_minimum(n_rows, width):
+    blocks = row_blocks(n_rows, width)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    rows = [stop - start for start, stop in blocks]
+    assert min(rows) >= min(2, n_rows)
+    assert max(rows) <= max(3, signals._BLOCK_ELEMENTS // width + 1)
+
+
+@pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows):
+    # the carried row makes the recurrence independent of where blocks break
+    alpha = _SPECTRA[spectrum]
+    rng = np.random.default_rng(block_rows)
+    sig = Signal(0.0, 0.05, rng.standard_normal((21, alpha.shape[0])))
+    whole = exp_conv_trajectory(alpha, sig, 45)
+    monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * alpha.shape[0])
+    blocks = list(exp_conv_blocks(alpha, sig, 45))
+    assert len(blocks) == len(row_blocks(46, alpha.shape[0])) > 1
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    np.testing.assert_array_equal(exp_conv_trajectory(alpha, sig, 45), whole)
+
+
+def test_conv_blocks_check_arguments_on_call():
+    with pytest.raises(DomainError):
+        exp_conv_blocks([-1.0], Signal(0.5, 0.1, np.ones(3)), 2)
+    with pytest.raises(DomainError):
+        exp_conv_blocks([-1.0], Signal(0.0, 0.1, np.ones(3)), -1)
+
+
+def test_conv_trajectory_memory_near_output():
+    # only one block of segment integrals is alive besides the output
+    rng = np.random.default_rng(9)
+    alpha = -(math.pi * np.arange(64)) ** 2 + 1j * rng.uniform(-5.0, 5.0, 64)
+    sig = Signal(0.0, 1e-3, rng.standard_normal((40001, 64)) + 1j * rng.standard_normal((40001, 64)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = exp_conv_trajectory(alpha, sig, 40000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * traj.nbytes
 
 
 def test_import_skips_scipy_signal():
