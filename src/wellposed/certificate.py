@@ -17,9 +17,11 @@ import numpy as np
 
 from .admissibility import AdmissibilityReport, admissibility_report
 from .errors import DomainError, PreconditionError
-from .laplace import ResolventCheck, verify_resolvent_entries
-from .signals import Signal
+from .heat import _SPECTRUM_TOL
+from .laplace import _QUAD_SAFETY, ResolventCheck, verify_resolvent_entries
+from .signals import _GRID_REL_TOL, _PHI_SERIES_SWITCH, Signal
 from .system import (
+    _SCAN_UPPER_SLACK,
     DEFAULT_TAIL_SHARE,
     MultiplierReport,
     SpectralSystem,
@@ -34,11 +36,11 @@ DEFAULT_PROBES = (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j)
 
 # every tolerance the pipeline relies on, by module constant
 TOLERANCE_LEDGER = {
-    "gridAlignRelTol": 1e-9,
-    "phiSeriesSwitch": 0.5,
-    "quadSafetyFactor": 2.0,
-    "scanUpperSlackRel": 1e-12,
-    "spectrumDetectRelTol": 1e-12,
+    "gridAlignRelTol": _GRID_REL_TOL,
+    "phiSeriesSwitch": _PHI_SERIES_SWITCH,
+    "quadSafetyFactor": _QUAD_SAFETY,
+    "scanUpperSlackRel": _SCAN_UPPER_SLACK,
+    "spectrumDetectRelTol": _SPECTRUM_TOL,
     "tailShareDefault": DEFAULT_TAIL_SHARE,
 }
 

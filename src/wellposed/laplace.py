@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .signals import (
+    _GRID_REL_TOL,
     Signal,
     exp_conv_blocks,
+    exp_segment_integral,
     phi1,
     phi2,
     resample,
@@ -26,8 +28,6 @@ from .signals import (
 )
 from .spectral import as_state, resolvent_apply
 from .system import SpectralSystem
-
-_GRID_REL_TOL = 1e-9
 
 # safety factor on the a-posteriori second-difference quadrature estimate
 _QUAD_SAFETY = 2.0
@@ -92,11 +92,8 @@ def laplace_transform(sig: Signal, lam: complex,
         ka = int(np.ceil((a - sig.t0) / h - _GRID_REL_TOL))
         if knots[ka] > a + _GRID_REL_TOL * h:
             # partial head segment [a, knots[ka]]
-            u0 = values_at(sig, np.array([a]))[0]
-            u1 = sig.samples[ka]
-            ha = knots[ka] - a
-            w = lam * ha
-            value += np.exp(-lam * knots[ka]) * ha * (u0 * phi1(w) + (u1 - u0) * phi2(w))
+            value += exp_segment_integral(lam, 0.0, a, knots[ka], values_at(sig, [a])[0],
+                                          sig.samples[ka])
         if ka < sig.n_samples - 1:
             w = lam * h
             weights = segment_weights(sig.samples[ka:], h, phi1(w), phi2(w))

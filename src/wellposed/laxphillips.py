@@ -3,9 +3,7 @@
 The evolution acts upper-triangularly: the past-output component is left
 shifted and the vacated window is filled with the fresh observation of the
 state plus the input-output contribution; the state evolves by e^(At) plus the
-controlled drift; the future input is left shifted. The twice-integrated
-formula for smooth inputs is kept as an independent cross-check path, never as
-the production path.
+controlled drift; the future input is left shifted.
 """
 
 from __future__ import annotations
@@ -16,19 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    HorizonError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import DimensionError, DomainError, HorizonError, SchemaError
 from .signals import (
+    _GRID_REL_TOL,
     Signal,
     exp_conv_final,
     exp_conv_trajectory,
     lp_norm,
-    phi1,
     read_signal_csv,
     resample,
     values_at,
@@ -36,8 +28,6 @@ from .signals import (
 )
 from .spectral import as_state, semigroup_apply
 from .system import SpectralSystem
-
-_ALIGN_TOL = 1e-9
 
 _ENVELOPE_SCHEMA = "wellposed.extended-state@1"
 
@@ -53,9 +43,9 @@ class ExtendedState:
     def __post_init__(self):
         object.__setattr__(self, "state", as_state(self.state))
         past, fut = self.past_output, self.future_input
-        if abs(past.end) > _ALIGN_TOL * max(1.0, -past.t0):
+        if abs(past.end) > _GRID_REL_TOL * max(1.0, -past.t0):
             raise DomainError(f"past output grid must end at 0, ends at {past.end}")
-        if abs(fut.t0) > _ALIGN_TOL * max(1.0, fut.end):
+        if abs(fut.t0) > _GRID_REL_TOL * max(1.0, fut.end):
             raise DomainError(f"future input grid must start at 0, starts at {fut.t0}")
 
     @property
@@ -77,11 +67,13 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
     as_state(xs.state, sys.n_modes)
 
 
-def _mixed(sys: SpectralSystem, u: Signal) -> Signal:
-    # v_n(r) = sum_j b_nj u_j(r), still on u's grid
+def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:
+    # v_n(r) = sum_j b_nj u_j(r), still on u's grid, over the samples that a
+    # convolution up to t reaches
     if u.width != sys.n_inputs:
         raise DimensionError(f"input has width {u.width}, expected {sys.n_inputs}")
-    return Signal(u.t0, u.dt, u.samples @ sys.control.T)
+    n = min(u.n_samples, max(1, int(np.floor((t - u.t0) / u.dt + _GRID_REL_TOL)) + 2))
+    return Signal(u.t0, u.dt, u.samples[:n] @ sys.control.T)
 
 
 def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
@@ -105,74 +97,17 @@ def control_to_state(sys: SpectralSystem, t: float, u: Signal) -> np.ndarray:
     """State reached from rest: x_n = sum_j b_nj int_0^t e^(alpha_n (t-r)) u_j(r) dr."""
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u), t)
-
-
-def control_to_state_ibp(sys: SpectralSystem, t: float, u: Signal) -> np.ndarray:
-    """Same state via one integration by parts on the support [a, b] of u in [0, t]:
-
-        (1/alpha) (e^(alpha (t-a)) v(a) - e^(alpha (t-b)) v(b))
-            + (1/alpha) int_a^b e^(alpha (t-r)) v'(r) dr,
-
-    with v the channel-mixed input and v' its per-segment slope. Independent of
-    control_to_state (no shared convolution kernel), so the two serve as cross
-    oracles; they agree to rounding on piecewise-linear inputs.
-    """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    alpha = sys.gen.eigenvalues
-    v = _mixed(sys, u)
-    out = np.zeros(sys.n_modes, dtype=complex)
-    a = max(0.0, v.t0)
-    b = min(t, v.end)
-    if b <= a + _ALIGN_TOL * v.dt or v.n_samples < 2:
-        return out
-    va = values_at(v, [a])[0]
-    vb = values_at(v, [b])[0]
-    boundary = (np.exp(alpha * (t - a)) * va - np.exp(alpha * (t - b)) * vb) / alpha
-
-    slopes = np.diff(v.samples, axis=0) / v.dt
-    n = v.n_samples
-    ka = min(max(int(np.ceil((a - v.t0) / v.dt - _ALIGN_TOL)), 0), n - 1)
-    kb = min(max(int(np.floor((b - v.t0) / v.dt + _ALIGN_TOL)), 0), n - 1)
-    r_ka = v.t0 + ka * v.dt
-    r_kb = v.t0 + kb * v.dt
-
-    def _kernel(r0, r1):
-        # int_{r0}^{r1} e^(alpha (t - r)) dr
-        h = r1 - r0
-        return np.exp(alpha * (t - r1)) * h * phi1(alpha * h)
-
-    parts = np.zeros_like(out)
-    if ka > kb:
-        seg = min(max(int(np.floor((a - v.t0) / v.dt + _ALIGN_TOL)), 0), n - 2)
-        parts += slopes[seg] * _kernel(a, b)
-    else:
-        if a < r_ka - _ALIGN_TOL * v.dt:
-            parts += slopes[ka - 1] * _kernel(a, r_ka)
-        if kb > ka:
-            r_right = v.t0 + v.dt * np.arange(ka + 1, kb + 1)
-            decay = np.exp(np.outer(t - r_right, alpha))
-            parts += np.sum(decay * slopes[ka:kb], axis=0) * (v.dt * phi1(alpha * v.dt))
-        if b > r_kb + _ALIGN_TOL * v.dt:
-            parts += slopes[kb] * _kernel(r_kb, b)
-    return boundary + parts / alpha
+    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, t), t)
 
 
 def input_output_map(sys: SpectralSystem, t: float, u: Signal,
-                     dt: float | None = None, path: str = "direct") -> Signal:
+                     dt: float | None = None) -> Signal:
     """Output block driven from rest on [-t, 0]:
 
-        y(s) = c . int_0^{t+s} e^(alpha (t+s-r)) v(r) dr + D u(t+s).
+        y(s) = c . int_0^{t+s} e^(alpha (t+s-r)) v(r) dr + D u(t+s),
 
-    ``direct`` evaluates the convolution by the exact one-step recurrence on
-    the sample grid. ``intxp`` is the cross-check for smooth inputs vanishing
-    to first order at 0: per mode,
-
-        -v(tau)/alpha - v'(tau)/alpha^2 + (1/alpha^2) int_0^tau e^(alpha (tau-r)) v''(r) dr,
-
-    with v', v'' reconstructed by second-order differences, so the two paths
-    agree to O(dt^2).
+    with the convolution evaluated by the exact one-step recurrence on the
+    sample grid.
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
@@ -182,37 +117,15 @@ def input_output_map(sys: SpectralSystem, t: float, u: Signal,
         dt = u.dt
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    if path not in ("direct", "intxp"):
-        raise DomainError(f"unknown path {path!r}")
     if t == 0:
         return Signal(0.0, dt, np.zeros((1, sys.n_outputs)))
     steps = max(1, round(t / dt))
     h = t / steps
-    u_res = resample(u, 0.0, h, steps + 1)
-    uvals = u_res.samples
-    alpha = sys.gen.eigenvalues
-    v = uvals @ sys.control.T
-    if path == "direct":
-        traj = exp_conv_trajectory(alpha, Signal(0.0, h, v), steps)
-    else:
-        if np.any(uvals[0] != 0):
-            raise PreconditionError(
-                "twice-integrated path requires u(0) = 0 (and smooth u with u'(0) = 0)"
-            )
-        v1 = np.gradient(v, h, axis=0, edge_order=2)
-        v2 = np.gradient(v1, h, axis=0, edge_order=2)
-        conv2 = exp_conv_trajectory(alpha, Signal(0.0, h, v2), steps)
-        inv = 1.0 / alpha[None, :]
-        traj = -v * inv - v1 * inv**2 + conv2 * inv**2
+    uvals = resample(u, 0.0, h, steps + 1).samples
+    traj = exp_conv_trajectory(sys.gen.eigenvalues, Signal(0.0, h, uvals @ sys.control.T),
+                               steps)
     y = traj @ sys.observation.T + uvals @ sys.feedthrough.T
     return Signal(-t, h, y)
-
-
-def _as_multiple(x: float, h: float) -> int | None:
-    q = round(x / h)
-    if abs(x - q * h) <= _ALIGN_TOL * max(1.0, abs(x)):
-        return q
-    return None
 
 
 def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> ExtendedState:
@@ -232,7 +145,7 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
         return xs
     past, u = xs.past_output, xs.future_input
     window = xs.window
-    if t > window * (1.0 + _ALIGN_TOL):
+    if t > window * (1.0 + _GRID_REL_TOL):
         raise HorizonError(
             f"step t = {t} exceeds the past-output window {window}; "
             "enlarge the window"
@@ -240,35 +153,24 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
     x = as_state(xs.state, sys.n_modes)
     alpha = sys.gen.eigenvalues
 
-    new_state = semigroup_apply(sys.gen, t, x) + control_to_state(sys, t, u)
-
     s_grid = past.times()
     new_past = np.zeros((s_grid.shape[0], sys.n_outputs), dtype=complex)
-    old_region = s_grid <= -t + _ALIGN_TOL * past.dt
-    if np.any(old_region):
-        new_past[old_region] = values_at(past, t + s_grid[old_region])
-    fresh = ~old_region
-    if np.any(fresh):
-        tau = t + s_grid[fresh]
-        q = _as_multiple(t, past.dt)
-        if q is not None and q >= 1:
-            u_res = resample(u, 0.0, past.dt, q + 1)
-            v = Signal(0.0, past.dt, u_res.samples @ sys.control.T)
-            conv = exp_conv_trajectory(alpha, v, q)
-            drift = conv[np.rint(tau / past.dt).astype(int)]
-        else:
-            v = _mixed(sys, u)
-            drift = np.stack([exp_conv_final(alpha, v, ti) for ti in tau])
-        free = np.exp(np.outer(tau, alpha)) * x[None, :]
-        new_past[fresh] = ((free + drift) @ sys.observation.T
-                           + values_at(u, tau) @ sys.feedthrough.T)
+    old_region = s_grid <= -t + _GRID_REL_TOL * past.dt
+    new_past[old_region] = values_at(past, t + s_grid[old_region])
+    tau = t + s_grid[~old_region]
+    # the drift at every fresh tau and, in the last row, at tau = t for the state
+    drift = exp_conv_final(alpha, _mixed(sys, u, t), np.append(tau, t))
+    free = np.exp(np.outer(tau, alpha)) * x[None, :]
+    new_past[~old_region] = ((free + drift[:-1]) @ sys.observation.T
+                             + values_at(u, tau) @ sys.feedthrough.T)
     past_out = Signal(past.t0, past.dt, new_past)
+    new_state = semigroup_apply(sys.gen, t, x) + drift[-1]
 
-    qu = _as_multiple(t, u.dt)
-    if qu is not None and qu < u.n_samples - 1:
+    qu = round(t / u.dt)
+    if abs(t - qu * u.dt) <= _GRID_REL_TOL * max(1.0, t) and qu < u.n_samples - 1:
         fut = Signal(0.0, u.dt, u.samples[qu:])
     else:
-        n_new = int(np.floor((u.end - t) / u.dt + _ALIGN_TOL)) + 1
+        n_new = int(np.floor((u.end - t) / u.dt + _GRID_REL_TOL)) + 1
         if n_new < 2:
             # window exhausted: the zero-extended tail is the zero signal
             fut = Signal(0.0, u.dt, np.zeros((2, sys.n_inputs)))

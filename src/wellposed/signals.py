@@ -34,6 +34,10 @@ _GRID_REL_TOL = 1e-9
 # memory of a block does not grow with the number of modes
 _BLOCK_ELEMENTS = 1 << 16
 
+# anchors of exp_conv_final whose partial segments are formed at once, so its
+# (anchors, N) temporaries stay a few blocks of rows
+_ANCHOR_ROWS = 64
+
 
 def _phi_series(z: np.ndarray, coef) -> np.ndarray:
     acc = np.full_like(z, coef[-1])
@@ -65,20 +69,24 @@ def phi2(z):
     return _phi(z, _PHI2_COEF, lambda w: (np.exp(w) - 1.0 - w) / (w * w))
 
 
-def exp_segment_integral(alpha: complex, T: float, r0: float, r1: float,
-                         u0: complex, u1: complex) -> complex:
+def exp_segment_integral(alpha, T, r0, r1, u0, u1):
     """Exact value of int_{r0}^{r1} e^(alpha (T - r)) u(r) dr, u linear on [r0, r1].
 
     Only r0 < r1 is required; T is the kernel anchor and may lie anywhere
-    (the Laplace transform reuses this with T = 0 and alpha = lambda).
+    (the Laplace transform reuses this with T = 0 and alpha = lambda). The
+    arguments broadcast against each other, so one call integrates many
+    segments.
     """
-    if not r0 < r1:
-        raise DomainError(f"segment requires r0 < r1, got [{r0}, {r1}]")
-    alpha = complex(alpha)
     h = r1 - r0
+    if not np.all(h > 0):
+        raise DomainError(f"segment requires r0 < r1, got [{r0}, {r1}]")
     w = alpha * h
-    seg = complex(u0) * phi1(w) + (complex(u1) - complex(u0)) * phi2(w)
-    return complex(np.exp(alpha * (T - r1)) * h * seg)
+    return np.exp(alpha * (T - r1)) * _segment(h, u0, u1, phi1(w), phi2(w))
+
+
+def _segment(h, u0, u1, p1, p2):
+    # the segment integral without its e^(alpha (T - r1)) factor
+    return h * (u0 * p1 + (u1 - u0) * p2)
 
 
 def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
@@ -88,7 +96,7 @@ def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
     integrals above without their e^(alpha (T - r1)) factor. Returns one row
     fewer than v.
     """
-    return h * (v[:-1] * p1 + np.diff(v, axis=0) * p2)
+    return _segment(h, v[:-1], v[1:], p1, p2)
 
 
 def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
@@ -216,52 +224,63 @@ def _paired(alpha: np.ndarray, sig: Signal) -> None:
         )
 
 
-def exp_conv_final(alpha, sig: Signal, t: float) -> np.ndarray:
-    """int_0^t e^(alpha_n (t - r)) v_n(r) dr for the paired column v_n of sig.
+def exp_conv_final(alpha, sig: Signal, t) -> np.ndarray:
+    """int_0^T e^(alpha_n (T - r)) v_n(r) dr for each anchor T in t, v_n the
+    paired column of sig.
 
-    Exact on the interpolant (zero outside the grid); partial end segments are
-    integrated exactly. Returns shape (N,).
+    Exact on the interpolant (zero outside the grid), so the integral runs
+    over [max(0, t0), min(T, end)]. One trajectory of the exp_conv_blocks
+    recurrence, from the first knot of that interval to the last knot any
+    anchor needs, gives the integral up to each knot. An anchor takes the row
+    at the knot at or below its clipped limit, decays it to T and adds its
+    partial segments before the first knot and after that knot, formed
+    _ANCHOR_ROWS anchors at a time. An anchor within _GRID_REL_TOL * dt of a
+    knot is taken at the knot. Returns shape (N,) for a scalar t and
+    (len(t), N) for a 1-d array.
     """
     alpha = np.asarray(alpha, dtype=complex)
     _paired(alpha, sig)
-    if t < 0:
-        raise DomainError(f"upper limit must be >= 0, got {t}")
-    out = np.zeros(alpha.shape[0], dtype=complex)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DimensionError(f"anchors must be a scalar or 1-d, got shape {ts.shape}")
+    if np.any(ts < 0):
+        raise DomainError(f"upper limit must be >= 0, got {np.min(ts)}")
+    n, dt, tol = sig.n_samples, sig.dt, _GRID_REL_TOL * sig.dt
+    T = np.atleast_1d(ts)
+    knot = sig.t0 + np.clip(np.rint((T - sig.t0) / dt), 0, n - 1) * dt
+    T = np.where(np.abs(T - knot) <= tol, knot, T)
     a = max(0.0, sig.t0)
-    b = min(t, sig.end)
-    if b <= a + _GRID_REL_TOL * sig.dt:
-        return out
-    n = sig.n_samples
-    ka = int(np.ceil((a - sig.t0) / sig.dt - _GRID_REL_TOL))
-    kb = int(np.floor((b - sig.t0) / sig.dt + _GRID_REL_TOL))
-    ka = min(max(ka, 0), n - 1)
-    kb = min(max(kb, 0), n - 1)
-    r_ka = sig.t0 + ka * sig.dt
-    r_kb = sig.t0 + kb * sig.dt
+    b = np.minimum(T, sig.end)
+    ka = min(max(int(np.ceil((a - sig.t0) / dt - _GRID_REL_TOL)), 0), n - 1)
+    kb = np.clip(np.floor((b - sig.t0) / dt + _GRID_REL_TOL).astype(int), 0, n - 1)
+    r_ka = sig.t0 + ka * dt
+    r_kb = sig.t0 + kb * dt
+    live = b > a + tol
+    # row of the recurrence from knot ka, or -1 when no knot lies in [a, b]
+    rows = np.where(live & (kb >= ka), kb - ka, -1)
 
-    def _partial(r0, r1, v0, v1):
-        h = r1 - r0
-        w = alpha * h
-        seg = v0 * phi1(w) + (v1 - v0) * phi2(w)
-        return np.exp(alpha * (t - r1)) * h * seg
-
-    if ka > kb:
-        # both endpoints inside one segment
-        out += _partial(a, b, values_at(sig, [a])[0], values_at(sig, [b])[0])
-        return out
-    if a < r_ka - _GRID_REL_TOL * sig.dt:
-        out += _partial(a, r_ka, values_at(sig, [a])[0], sig.samples[ka])
-    if kb > ka:
-        w = alpha * sig.dt
-        p1 = phi1(w)
-        p2 = phi2(w)
-        weights = segment_weights(sig.samples[ka:kb + 1], sig.dt, p1, p2)
-        r_right = sig.t0 + sig.dt * np.arange(ka + 1, kb + 1)
-        decay = np.exp(np.outer(t - r_right, alpha))
-        out += np.sum(decay * weights, axis=0)
-    if b > r_kb + _GRID_REL_TOL * sig.dt:
-        out += _partial(r_kb, b, sig.samples[kb], values_at(sig, [b])[0])
-    return out
+    last = int(np.max(rows, initial=0))
+    # a grid that starts at 0 is its own drive, without a shifted copy
+    drive = sig if sig.t0 == 0.0 else Signal(0.0, dt, sig.samples[ka:ka + last + 1])
+    out = exp_conv_trajectory(alpha, drive, last)[np.maximum(rows, 0)]
+    out[rows < 0] = 0.0
+    head = live & (a < r_ka - tol)
+    tail = (rows >= 0) & (b > r_kb + tol)
+    va = values_at(sig, [a])
+    for lo in range(0, T.shape[0], _ANCHOR_ROWS):
+        c = np.arange(lo, min(lo + _ANCHOR_ROWS, T.shape[0]))
+        i = c[(rows[c] >= 0) & (T[c] != r_kb[c])]
+        out[i] *= np.exp(np.outer(T[i] - r_kb[i], alpha))
+        # [a, first knot], or [a, b] when no knot lies between them
+        i = c[head[c]]
+        v1 = np.where(rows[i, None] >= 0, sig.samples[ka], values_at(sig, b[i]))
+        out[i] += exp_segment_integral(alpha, T[i, None], a, np.minimum(b, r_ka)[i, None],
+                                       va, v1)
+        # [knot at or below b, b]
+        i = c[tail[c]]
+        out[i] += exp_segment_integral(alpha, T[i, None], r_kb[i, None], b[i, None],
+                                       sig.samples[kb[i]], values_at(sig, b[i]))
+    return out if ts.ndim else out[0]
 
 
 def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
@@ -308,8 +327,11 @@ def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
 
 
 def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
-    """The rows of exp_conv_blocks gathered into one (n_steps + 1, N) array."""
+    """The rows of exp_conv_blocks gathered into one (n_steps + 1, N) array;
+    a trajectory that fits in one block is that block, not a copy of it."""
     blocks = exp_conv_blocks(alpha, sig, n_steps)
+    if len(row_blocks(n_steps + 1, sig.width)) == 1:
+        return next(blocks)
     out = np.empty((n_steps + 1, sig.width), dtype=complex)
     k = 0
     for block in blocks:

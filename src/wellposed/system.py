@@ -34,6 +34,9 @@ from .spectral import DiagonalGenerator
 _SCAN_CHUNK = 2048
 DEFAULT_TAIL_SHARE = 0.1
 
+# relative rounding slack when the grid sup is checked against its majorant
+_SCAN_UPPER_SLACK = 1e-12
+
 
 class TailMajorant(Protocol):
     def term(self, n: int) -> float: ...
@@ -301,7 +304,7 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
         with ThreadPoolExecutor(max_workers=workers) as pool:
             grid_sup = max(pool.map(lambda span: _chunk_max(*span), bounds))
     upper = float(np.sum(_row_weights(sys) / np.abs(alpha.real))) + tail
-    if grid_sup > upper * (1.0 + 1e-12):
+    if grid_sup > upper * (1.0 + _SCAN_UPPER_SLACK):
         raise InternalError(
             f"grid maximum {grid_sup} exceeds its majorant {upper}"
         )

@@ -1,0 +1,90 @@
+"""Independent evaluations of the state and input-output maps, used only to
+cross-check the production paths in `wellposed.laxphillips`.
+
+The state map is integrated by parts and shares no convolution kernel with
+`control_to_state`; the input-output map is integrated by parts twice for
+smooth inputs, so its one convolution is of v'' rather than v.
+"""
+
+import numpy as np
+
+from wellposed.errors import PreconditionError
+from wellposed.signals import _GRID_REL_TOL, Signal, exp_conv_trajectory, phi1, resample, values_at
+
+
+def control_to_state_ibp(sys, t, u):
+    """State reached from rest, via one integration by parts on the support
+    [a, b] of u in [0, t]:
+
+        (1/alpha) (e^(alpha (t-a)) v(a) - e^(alpha (t-b)) v(b))
+            + (1/alpha) int_a^b e^(alpha (t-r)) v'(r) dr,
+
+    with v the channel-mixed input and v' its per-segment slope. Agrees with
+    control_to_state to rounding on piecewise-linear inputs.
+    """
+    alpha = sys.gen.eigenvalues
+    v = Signal(u.t0, u.dt, u.samples @ sys.control.T)
+    tol = _GRID_REL_TOL
+    out = np.zeros(sys.n_modes, dtype=complex)
+    a = max(0.0, v.t0)
+    b = min(t, v.end)
+    if b <= a + tol * v.dt or v.n_samples < 2:
+        return out
+    va = values_at(v, [a])[0]
+    vb = values_at(v, [b])[0]
+    boundary = (np.exp(alpha * (t - a)) * va - np.exp(alpha * (t - b)) * vb) / alpha
+
+    slopes = np.diff(v.samples, axis=0) / v.dt
+    n = v.n_samples
+    ka = min(max(int(np.ceil((a - v.t0) / v.dt - tol)), 0), n - 1)
+    kb = min(max(int(np.floor((b - v.t0) / v.dt + tol)), 0), n - 1)
+    r_ka = v.t0 + ka * v.dt
+    r_kb = v.t0 + kb * v.dt
+
+    def _kernel(r0, r1):
+        # int_{r0}^{r1} e^(alpha (t - r)) dr
+        h = r1 - r0
+        return np.exp(alpha * (t - r1)) * h * phi1(alpha * h)
+
+    parts = np.zeros_like(out)
+    if ka > kb:
+        seg = min(max(int(np.floor((a - v.t0) / v.dt + tol)), 0), n - 2)
+        parts += slopes[seg] * _kernel(a, b)
+    else:
+        if a < r_ka - tol * v.dt:
+            parts += slopes[ka - 1] * _kernel(a, r_ka)
+        if kb > ka:
+            r_right = v.t0 + v.dt * np.arange(ka + 1, kb + 1)
+            decay = np.exp(np.outer(t - r_right, alpha))
+            parts += np.sum(decay * slopes[ka:kb], axis=0) * (v.dt * phi1(alpha * v.dt))
+        if b > r_kb + tol * v.dt:
+            parts += slopes[kb] * _kernel(r_kb, b)
+    return boundary + parts / alpha
+
+
+def input_output_map_intxp(sys, t, u, dt=None):
+    """input_output_map's output block for smooth inputs vanishing to first
+    order at 0, integrated by parts twice: per mode,
+
+        -v(tau)/alpha - v'(tau)/alpha^2 + (1/alpha^2) int_0^tau e^(alpha (tau-r)) v''(r) dr,
+
+    with v', v'' reconstructed by second-order differences on the same grid,
+    so it agrees with input_output_map to O(dt^2).
+    """
+    if dt is None:
+        dt = u.dt
+    steps = max(1, round(t / dt))
+    h = t / steps
+    uvals = resample(u, 0.0, h, steps + 1).samples
+    if np.any(uvals[0] != 0):
+        raise PreconditionError(
+            "twice-integrated path requires u(0) = 0 (and smooth u with u'(0) = 0)"
+        )
+    alpha = sys.gen.eigenvalues
+    v = uvals @ sys.control.T
+    v1 = np.gradient(v, h, axis=0, edge_order=2)
+    v2 = np.gradient(v1, h, axis=0, edge_order=2)
+    conv2 = exp_conv_trajectory(alpha, Signal(0.0, h, v2), steps)
+    inv = 1.0 / alpha[None, :]
+    traj = -v * inv - v1 * inv**2 + conv2 * inv**2
+    return Signal(-t, h, traj @ sys.observation.T + uvals @ sys.feedthrough.T)

@@ -112,6 +112,22 @@ class TestCertifySystem:
             "scanUpperSlackRel", "spectrumDetectRelTol", "tailShareDefault",
         }
 
+    def test_ledger_reads_module_constants(self):
+        from wellposed import certificate, heat, laplace, laxphillips, signals, system
+
+        assert certificate.TOLERANCE_LEDGER == {
+            "gridAlignRelTol": signals._GRID_REL_TOL,
+            "phiSeriesSwitch": signals._PHI_SERIES_SWITCH,
+            "quadSafetyFactor": laplace._QUAD_SAFETY,
+            "scanUpperSlackRel": system._SCAN_UPPER_SLACK,
+            "spectrumDetectRelTol": heat._SPECTRUM_TOL,
+            "tailShareDefault": system.DEFAULT_TAIL_SHARE,
+        }
+        # the values the certificate bytes were recorded with
+        assert list(certificate.TOLERANCE_LEDGER.values()) == [1e-9, 0.5, 2.0, 1e-12, 1e-12, 0.1]
+        # one grid tolerance, not a copy per module
+        assert laplace._GRID_REL_TOL is laxphillips._GRID_REL_TOL is signals._GRID_REL_TOL
+
     def test_deterministic_bytes(self):
         a = certify_system(scalar_system(), gamma_max=50.0, gamma_steps=501,
                            t_max=20.0)

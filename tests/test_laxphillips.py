@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cross_oracles import control_to_state_ibp, input_output_map_intxp
+from wellposed import laxphillips, signals
 from wellposed.errors import (
     DimensionError,
     DomainError,
@@ -13,7 +16,6 @@ from wellposed.errors import (
 from wellposed.laxphillips import (
     ExtendedState,
     control_to_state,
-    control_to_state_ibp,
     input_output_map,
     load_extended_state,
     observe_trajectory,
@@ -21,7 +23,7 @@ from wellposed.laxphillips import (
     semigroup_law_residual,
     step_extended_state,
 )
-from wellposed.signals import Signal, lp_norm, value_at, values_at
+from wellposed.signals import Signal, exp_conv_trajectory, lp_norm, resample, value_at, values_at
 from wellposed.spectral import semigroup_apply
 from wellposed.system import build_system
 
@@ -155,8 +157,8 @@ def test_io_map_intxp_agrees_on_smooth_input():
     r = dt * np.arange(round(1.0 / dt) + 1)
     prof = (r**2) * (1.0 - r) ** 2
     u = Signal(0.0, dt, np.stack([prof, -prof], axis=1))
-    direct = input_output_map(sys, 1.0, u, path="direct")
-    cross = input_output_map(sys, 1.0, u, path="intxp")
+    direct = input_output_map(sys, 1.0, u)
+    cross = input_output_map_intxp(sys, 1.0, u)
     diff = np.max(np.abs(np.asarray(direct.samples) - cross.samples))
     assert diff <= 50.0 * dt**2
 
@@ -164,12 +166,7 @@ def test_io_map_intxp_agrees_on_smooth_input():
 def test_io_map_intxp_rejects_nonzero_start():
     sys = _scalar_sys()
     with pytest.raises(PreconditionError):
-        input_output_map(sys, 1.0, _const_u(1.0), path="intxp")
-
-
-def test_io_map_rejects_unknown_path():
-    with pytest.raises(DomainError):
-        input_output_map(_scalar_sys(), 1.0, _const_u(), path="magic")
+        input_output_map_intxp(sys, 1.0, _const_u(1.0))
 
 
 def test_extended_state_validation():
@@ -239,6 +236,76 @@ def test_step_future_shift_aligned():
     fut = out.future_input
     assert fut.t0 == 0.0 and fut.n_samples == 16
     np.testing.assert_array_equal(np.asarray(fut.samples), vals[5:])
+
+
+def _heat_step_state(n_modes, dt, window):
+    n = round(window / dt) + 1
+    r = dt * np.arange(n)
+    u = Signal(0.0, dt, np.stack([np.sin(1.3 * r), np.cos(0.7 * r) - 1.0], axis=1))
+    past = Signal(-window, dt, 0.1 * np.random.default_rng(1).standard_normal((n, 1)))
+    x = np.random.default_rng(2).standard_normal(n_modes)
+    return ExtendedState(past, x, u)
+
+
+def test_step_on_grid_matches_trajectory_gather_bitwise():
+    # an on-grid step whose input covers [0, t] reads every fresh sample off
+    # one trajectory on the past-output grid, bit for bit
+    sys = _heat(16)
+    dt = 1e-2
+    xs = _heat_step_state(16, dt, 4.0)
+    for t in (0.01, 0.5, 1.37, 3.0, 4.0):
+        out = step_extended_state(sys, t, xs)
+        q = round(t / dt)
+        s_grid = xs.past_output.times()
+        fresh = s_grid > -t + 1e-9 * dt
+        tau = t + s_grid[fresh]
+        v = Signal(0.0, dt, resample(xs.future_input, 0.0, dt, q + 1).samples @ sys.control.T)
+        drift = exp_conv_trajectory(sys.gen.eigenvalues, v, q)[np.rint(tau / dt).astype(int)]
+        free = np.exp(np.outer(tau, sys.gen.eigenvalues)) * xs.state[None, :]
+        want = ((free + drift) @ sys.observation.T
+                + values_at(xs.future_input, tau) @ sys.feedthrough.T)
+        np.testing.assert_array_equal(out.past_output.samples[fresh], want)
+        np.testing.assert_array_equal(out.past_output.samples[~fresh],
+                                      values_at(xs.past_output, t + s_grid[~fresh]))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.503, 1.2345])
+def test_step_runs_one_recurrence_and_no_scalar_kernel(monkeypatch, t):
+    sys = _heat(8)
+    xs = _heat_step_state(8, 1e-2, 2.0)
+    passes, anchors = [], []
+    blocks, final = signals.exp_conv_blocks, laxphillips.exp_conv_final
+
+    def counted_blocks(*args):
+        passes.append(args[2])
+        return blocks(*args)
+
+    def counted_final(alpha, sig, t):
+        anchors.append(np.ndim(t))
+        return final(alpha, sig, t)
+
+    monkeypatch.setattr(signals, "exp_conv_blocks", counted_blocks)
+    monkeypatch.setattr(laxphillips, "exp_conv_final", counted_final)
+    step_extended_state(sys, t, xs)
+    assert len(passes) == 1
+    assert anchors == [1]
+
+
+def test_off_grid_step_memory_not_above_per_sample_loop():
+    # one off-grid step at heat N = 128: the per-sample exp_conv_final loop
+    # this kernel replaced peaked at 3 389 802 bytes (tracemalloc, Python 3.11,
+    # numpy 2.4.6)
+    sys = _heat(128)
+    xs = _heat_step_state(128, 1e-2, 4.0)
+    step_extended_state(sys, 2.9061, xs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        step_extended_state(sys, 2.9061, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_389_802
 
 
 def test_step_future_exhausted_is_zero():

@@ -197,6 +197,112 @@ def test_conv_final_width_mismatch():
         exp_conv_final([-1.0, -2.0], _ramp(d=1), 1.0)
 
 
+def _reference_conv_final(alpha, sig, t):
+    # reference: the per-anchor kernel, one scalar anchor per call, that sums
+    # e^(alpha (t - r_k)) g_k over whole segments and clips both partial ends
+    alpha = np.asarray(alpha, dtype=complex)
+    tol = signals._GRID_REL_TOL
+    out = np.zeros(alpha.shape[0], dtype=complex)
+    a = max(0.0, sig.t0)
+    b = min(t, sig.end)
+    if b <= a + tol * sig.dt:
+        return out
+    n = sig.n_samples
+    ka = min(max(int(np.ceil((a - sig.t0) / sig.dt - tol)), 0), n - 1)
+    kb = min(max(int(np.floor((b - sig.t0) / sig.dt + tol)), 0), n - 1)
+    r_ka = sig.t0 + ka * sig.dt
+    r_kb = sig.t0 + kb * sig.dt
+
+    def _partial(r0, r1, v0, v1):
+        h = r1 - r0
+        w = alpha * h
+        return np.exp(alpha * (t - r1)) * h * (v0 * phi1(w) + (v1 - v0) * phi2(w))
+
+    if ka > kb:
+        return out + _partial(a, b, values_at(sig, [a])[0], values_at(sig, [b])[0])
+    if a < r_ka - tol * sig.dt:
+        out += _partial(a, r_ka, values_at(sig, [a])[0], sig.samples[ka])
+    if kb > ka:
+        w = alpha * sig.dt
+        v = sig.samples[ka:kb + 1]
+        weights = sig.dt * (v[:-1] * phi1(w) + np.diff(v, axis=0) * phi2(w))
+        r_right = sig.t0 + sig.dt * np.arange(ka + 1, kb + 1)
+        out += np.sum(np.exp(np.outer(t - r_right, alpha)) * weights, axis=0)
+    if b > r_kb + tol * sig.dt:
+        out += _partial(r_kb, b, sig.samples[kb], values_at(sig, [b])[0])
+    return out
+
+
+_CONV_SPECTRA = {
+    "real": np.array([-0.3, -1.0, -7.5]),
+    "complex": np.array([-0.3 + 2.0j, -1.0 - 5.0j, -0.01 + 30.0j]),
+    "stiff": np.array([-5000.0, -40.0 + 1.0j, -0.5]),
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(_CONV_SPECTRA))
+@pytest.mark.parametrize("t0", [0.0, -0.3, 0.2, -1.0])
+def test_conv_final_anchor_array_matches_per_anchor_reference(spectrum, t0):
+    alpha = _CONV_SPECTRA[spectrum]
+    rng = np.random.default_rng(int(100 * abs(t0)) + len(spectrum))
+    dt = 0.07
+    sig = Signal(t0, dt, rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3)))
+    knots = sig.times()
+    anchors = np.concatenate([
+        knots[knots >= 0],                                 # on the grid
+        knots[knots >= 0] + dt * rng.uniform(0.05, 0.95),  # off the grid
+        [0.0, 0.3 * dt, max(0.0, t0) + 0.4 * dt],          # at and inside the first segment
+        [sig.end + 0.5 * dt, sig.end + 3.0, 5.0],          # past the end
+        rng.uniform(0.0, sig.end + 1.0, 200),              # more than one chunk of anchors
+    ])
+    if t0 > 0:
+        anchors = np.append(anchors, [0.5 * t0, 0.0])      # before the support
+    got = exp_conv_final(alpha, sig, anchors)
+    want = np.stack([_reference_conv_final(alpha, sig, t) for t in anchors])
+    assert got.shape == (anchors.shape[0], alpha.shape[0])
+    # relative to each mode's largest value: an oscillating mode's small
+    # values come from cancellation, where both sides lose the same digits
+    err = np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
+    assert err <= 1e-13
+    for i in (0, 7, anchors.shape[0] - 1):
+        np.testing.assert_array_equal(exp_conv_final(alpha, sig, anchors[i]), got[i])
+
+
+def test_conv_final_knot_anchor_is_trajectory_row():
+    # an anchor on a knot, or within the grid tolerance of one, is taken at the knot
+    rng = np.random.default_rng(4)
+    alpha = _CONV_SPECTRA["stiff"]
+    sig = Signal(0.0, 0.05, rng.standard_normal((21, 3)))
+    traj = exp_conv_trajectory(alpha, sig, 20)
+    k = np.arange(21)
+    np.testing.assert_array_equal(exp_conv_final(alpha, sig, 0.05 * k), traj)
+    nudged = 0.05 * k + 1e-3 * signals._GRID_REL_TOL * 0.05
+    np.testing.assert_array_equal(exp_conv_final(alpha, sig, nudged), traj)
+
+
+def test_conv_final_rejects_bad_anchors():
+    with pytest.raises(DomainError):
+        exp_conv_final([-1.0], _ramp(), [0.5, -0.1])
+    with pytest.raises(DimensionError):
+        exp_conv_final([-1.0], _ramp(), np.ones((2, 2)))
+    assert exp_conv_final([-1.0], _ramp(), np.array([])).shape == (0, 1)
+
+
+def test_segment_integral_broadcasts_over_segments():
+    alpha = np.array([-2.0 + 1.5j, -0.5])
+    T = np.array([[2.0], [1.5]])
+    r0, r1 = np.array([[0.0], [0.4]]), np.array([[1.0], [1.2]])
+    u0, u1 = np.array([[0.3, 1.0], [-0.2, 2.0]]), np.array([[0.1, 1.0], [0.4, -1.0]])
+    got = exp_segment_integral(alpha, T, r0, r1, u0, u1)
+    for i in range(2):
+        for j in range(2):
+            want = exp_segment_integral(alpha[j], T[i, 0], r0[i, 0], r1[i, 0],
+                                        u0[i, j], u1[i, j])
+            assert got[i, j] == pytest.approx(want, rel=1e-15)
+    with pytest.raises(DomainError):
+        exp_segment_integral(alpha, T, r0, np.array([[1.0], [0.4]]), u0, u1)
+
+
 def test_conv_trajectory_matches_final():
     rng = np.random.default_rng(5)
     sig = Signal(0.0, 0.05, rng.standard_normal((21, 3)))
@@ -290,6 +396,21 @@ def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows):
     assert len(blocks) == len(row_blocks(46, alpha.shape[0])) > 1
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
     np.testing.assert_array_equal(exp_conv_trajectory(alpha, sig, 45), whole)
+
+
+def test_conv_trajectory_one_block_is_not_copied(monkeypatch):
+    yielded = []
+    blocks = signals.exp_conv_blocks
+
+    def spy(*args):
+        for block in blocks(*args):
+            yielded.append(block)
+            yield block
+
+    monkeypatch.setattr(signals, "exp_conv_blocks", spy)
+    sig = Signal(0.0, 0.05, np.ones((21, 4)))
+    traj = exp_conv_trajectory(_SPECTRA["real"], sig, 30)
+    assert len(yielded) == 1 and traj is yielded[0]
 
 
 def test_conv_blocks_check_arguments_on_call():
