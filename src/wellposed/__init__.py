@@ -6,19 +6,13 @@ observation rows, and feedthrough; simulates the associated block semigroup on
 (past outputs) x (state) x (future inputs); and certifies 2-well-posedness by
 combining admissibility Gram matrices, a Fourier multiplier scan, and Laplace
 transform consistency checks into one deterministic certificate document.
+
+The names below are the documented API; every other function lives in its
+submodule (spectral, signals, laxphillips, admissibility, system, laplace,
+heat, certificate).
 """
 
-from .admissibility import (
-    AdmissibilityReport,
-    GlobalConstants,
-    PairInterval,
-    admissibility_report,
-    control_gram,
-    global_constants,
-    observation_gram,
-    pair_constant,
-)
-from .certificate import canonical_json, certify_system, system_digest
+from .certificate import canonical_json, certify_system
 from .errors import (
     CertificateIncompleteError,
     DimensionError,
@@ -31,20 +25,8 @@ from .errors import (
     StabilityError,
     WellposedError,
 )
-from .heat import (
-    HeatConfig,
-    build_heat_system,
-    dirichlet_eval,
-    heat_certificate,
-    mode_weights,
-    reconstruct_temperature,
-)
-from .laplace import (
-    EntryResidual,
-    ResolventCheck,
-    laplace_transform,
-    verify_resolvent_entries,
-)
+from .heat import HeatConfig, build_heat_system, reconstruct_temperature
+from .laplace import verify_resolvent_entries
 from .laxphillips import (
     ExtendedState,
     control_to_state,
@@ -55,105 +37,42 @@ from .laxphillips import (
     semigroup_law_residual,
     step_extended_state,
 )
-from .signals import (
-    Signal,
-    exp_conv_final,
-    exp_conv_trajectory,
-    exp_segment_integral,
-    lp_norm,
-    phi1,
-    phi2,
-    read_signal_csv,
-    resample,
-    shift_signal,
-    value_at,
-    values_at,
-    write_signal_csv,
-)
-from .spectral import DiagonalGenerator, as_state, extrapolation_norm, resolvent_apply, semigroup_apply
-from .system import (
-    CompatReport,
-    HeatTail,
-    MultiplierReport,
-    MultiplierValue,
-    PowerLawTail,
-    SpectralSystem,
-    build_system,
-    compatibility_check,
-    describe_system,
-    m13_eval,
-    m13_sup_scan,
-)
+from .signals import Signal, read_signal_csv, write_signal_csv
+from .spectral import DiagonalGenerator
+from .system import SpectralSystem, build_system, describe_system
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "CertificateIncompleteError",
-    "CompatReport",
     "DiagonalGenerator",
     "DimensionError",
     "DomainError",
-    "EntryResidual",
     "ExtendedState",
-    "GlobalConstants",
     "HeatConfig",
-    "HeatTail",
     "HorizonError",
     "InternalError",
-    "MultiplierReport",
-    "MultiplierValue",
-    "PairInterval",
-    "PowerLawTail",
     "PreconditionError",
-    "ResolventCheck",
     "SchemaError",
     "Signal",
     "SpectralSystem",
     "SpectrumError",
     "StabilityError",
     "WellposedError",
-    "admissibility_report",
-    "as_state",
     "build_heat_system",
     "build_system",
     "canonical_json",
     "certify_system",
-    "compatibility_check",
-    "control_gram",
     "control_to_state",
     "describe_system",
-    "dirichlet_eval",
-    "exp_conv_final",
-    "exp_conv_trajectory",
-    "exp_segment_integral",
-    "extrapolation_norm",
-    "global_constants",
-    "heat_certificate",
     "input_output_map",
-    "laplace_transform",
     "load_extended_state",
-    "lp_norm",
-    "m13_eval",
-    "m13_sup_scan",
-    "mode_weights",
-    "observation_gram",
     "observe_trajectory",
-    "pair_constant",
-    "phi1",
-    "phi2",
     "read_signal_csv",
     "reconstruct_temperature",
-    "resample",
-    "resolvent_apply",
     "save_extended_state",
-    "semigroup_apply",
     "semigroup_law_residual",
-    "shift_signal",
     "step_extended_state",
-    "system_digest",
-    "value_at",
-    "values_at",
     "verify_resolvent_entries",
     "write_signal_csv",
 ]

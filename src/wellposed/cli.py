@@ -17,8 +17,9 @@ import numpy as np
 from .certificate import DEFAULT_PROBES, canonical_json, certify_system
 from .errors import DimensionError, HorizonError, SchemaError, WellposedError
 from .heat import reconstruct_temperature
-from .laxphillips import ExtendedState, save_extended_state, step_extended_state
-from .signals import Signal, exp_conv_trajectory, read_signal_csv, resample, write_signal_csv
+from .laxphillips import (ExtendedState, control_to_state, save_extended_state,
+                          step_extended_state)
+from .signals import Signal, read_signal_csv, resample, write_signal_csv
 from .system import build_system
 
 
@@ -107,11 +108,11 @@ def _run_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps_t = max(1, int(round(t / dt)))
-    drive = resample(u_raw, 0.0, dt, steps_t + 1)
-    v = Signal(0.0, dt, drive.samples @ system.control.T)
-    traj = exp_conv_trajectory(system.gen.eigenvalues, v, steps_t)
-    write_signal_csv(out_dir / "state.csv", Signal(0.0, dt, traj))
+    # the state on [0, t] with the step t / round(t / dt), so its last row
+    # is the stepped state at t
+    steps_t = max(1, round(t / dt))
+    states = control_to_state(system, np.linspace(0.0, t, steps_t + 1), future)
+    write_signal_csv(out_dir / "state.csv", Signal(0.0, t / steps_t, states))
     envelope = save_extended_state(out_dir, stepped)
     if system.builtin == "heat":
         s_grid = np.linspace(0.0, math.pi, 201)

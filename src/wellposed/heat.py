@@ -9,40 +9,32 @@ reconstruct_temperature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpectrumError
+from .errors import DomainError
 from .spectral import DiagonalGenerator
 from .system import HeatTail, SpectralSystem
 
+# relative distance from -n^2 at which a probe lies on the spectrum; the
+# certificate's tolerance ledger records it
 _SPECTRUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class HeatConfig:
-    """Truncation order, spectral shift, and certificate scan parameters."""
+    """Truncation order and spectral shift."""
 
     n_modes: int = 64
     lambda0: float = 1.0
-    gamma_max: float = 100.0
-    steps: int = 4001
-    t0: float = 1.0
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
         if not self.lambda0 > 0:
             raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
-        if not self.gamma_max > 0:
-            raise DomainError(f"gamma_max must be > 0, got {self.gamma_max}")
-        if self.steps < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps}")
-        if not self.t0 > 0:
-            raise DomainError(f"t0 must be > 0, got {self.t0}")
 
 
 def mode_weights(n_modes: int) -> np.ndarray:
@@ -67,27 +59,6 @@ def build_heat_system(cfg: HeatConfig) -> SpectralSystem:
                           exact=False, builtin="heat")
 
 
-def dirichlet_eval(lam: complex, s: float) -> tuple[complex, complex]:
-    """Kernels of the Dirichlet operator at lambda: the harmonic lifts q0, q1
-    with q0'(0) = 1, q0'(pi) = 0 and q1'(0) = 0, q1'(pi) = 1.
-
-    q0(s) = -cosh(z (pi - s)) / (z sinh(z pi)), q1(s) = cosh(z s) / (z sinh(z pi)),
-    z = sqrt(lambda). Both are even in z, so the principal branch is used.
-    Rewritten over e^(-z .) so nothing overflows for large |lambda|.
-    """
-    lam = complex(lam)
-    if not 0.0 <= s <= math.pi:
-        raise DomainError(f"s must lie in [0, pi], got {s}")
-    near = round(math.sqrt(max(0.0, -lam.real)))
-    if abs(lam + near * near) <= _SPECTRUM_TOL * max(1.0, abs(lam)):
-        raise SpectrumError(f"lambda = {lam} lies on the unshifted spectrum -n^2")
-    z = cmath.sqrt(lam)
-    den = 1.0 - cmath.exp(-2.0 * z * math.pi)
-    q0 = -(cmath.exp(-z * s) + cmath.exp(-z * (2.0 * math.pi - s))) / (z * den)
-    q1 = (cmath.exp(-z * (math.pi - s)) + cmath.exp(-z * (math.pi + s))) / (z * den)
-    return q0, q1
-
-
 def reconstruct_temperature(x, s_grid) -> np.ndarray:
     """Temperature profile sum_n x_n e_n(s) on the sample points s_grid."""
     x = np.asarray(x, dtype=complex)
@@ -98,10 +69,3 @@ def reconstruct_temperature(x, s_grid) -> np.ndarray:
     basis = mode_weights(x.shape[0])[None, :] * np.cos(np.outer(s, n))
     return basis @ x
 
-
-def heat_certificate(cfg: HeatConfig) -> dict:
-    """End-to-end certificate for the heat system at cfg's scan parameters."""
-    from .certificate import certify_system
-
-    return certify_system(build_heat_system(cfg), p=2.0, t0=cfg.t0,
-                          gamma_max=cfg.gamma_max, gamma_steps=cfg.steps)

@@ -93,11 +93,16 @@ def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
     return Signal(-t, h, modes @ sys.observation.T)
 
 
-def control_to_state(sys: SpectralSystem, t: float, u: Signal) -> np.ndarray:
-    """State reached from rest: x_n = sum_j b_nj int_0^t e^(alpha_n (t-r)) u_j(r) dr."""
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, t), t)
+def control_to_state(sys: SpectralSystem, t, u: Signal) -> np.ndarray:
+    """State reached from rest: x_n = sum_j b_nj int_0^t e^(alpha_n (t-r)) u_j(r) dr.
+
+    t is one time or a 1-d array of them; returns shape (N,) or one row per
+    time, as exp_conv_final does.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
+        raise DomainError(f"time must be >= 0, got {np.min(ts)}")
+    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, np.max(ts, initial=0.0)), t)
 
 
 def input_output_map(sys: SpectralSystem, t: float, u: Signal,
@@ -159,7 +164,7 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
     new_past[old_region] = values_at(past, t + s_grid[old_region])
     tau = t + s_grid[~old_region]
     # the drift at every fresh tau and, in the last row, at tau = t for the state
-    drift = exp_conv_final(alpha, _mixed(sys, u, t), np.append(tau, t))
+    drift = control_to_state(sys, np.append(tau, t), u)
     free = np.exp(np.outer(tau, alpha)) * x[None, :]
     new_past[~old_region] = ((free + drift[:-1]) @ sys.observation.T
                              + values_at(u, tau) @ sys.feedthrough.T)

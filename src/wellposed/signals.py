@@ -171,10 +171,6 @@ def values_at(sig: Signal, ts) -> np.ndarray:
     return vals
 
 
-def value_at(sig: Signal, t: float) -> np.ndarray:
-    return values_at(sig, [t])[0]
-
-
 def resample(sig: Signal, t0: float, dt: float, n: int) -> Signal:
     """Sample the interpolant onto a new grid.
 
@@ -188,11 +184,6 @@ def resample(sig: Signal, t0: float, dt: float, n: int) -> Signal:
         out[:sig.n_samples] = sig.samples[:n]
         return Signal(t0, dt, out)
     return Signal(t0, dt, values_at(sig, t0 + dt * np.arange(n)))
-
-
-def shift_signal(sig: Signal, delta: float) -> Signal:
-    """Translate right by delta (exact grid move; zero-filling is implicit)."""
-    return Signal(sig.t0 + delta, sig.dt, sig.samples)
 
 
 def lp_norm(sig: Signal, p: float) -> float:
@@ -344,29 +335,22 @@ def _is_effectively_real(arr: np.ndarray) -> bool:
     return not np.iscomplexobj(arr) or not np.any(arr.imag != 0.0)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_signal_csv(path, sig: Signal) -> None:
-    """Write `time,c0,c1,...` rows; complex data gets c0.re,c0.im,... columns."""
-    real = _is_effectively_real(sig.samples)
+    """Write `time,c0,c1,...` rows; complex data gets c0.re,c0.im,... columns.
+
+    Every value is written with 17 significant digits, so it reads back
+    exactly; rows end in CRLF, as the csv module writes them.
+    """
+    if _is_effectively_real(sig.samples):
+        names = [f"c{j}" for j in range(sig.width)]
+        values = sig.samples.real
+    else:
+        names = [f"c{j}.{part}" for j in range(sig.width) for part in ("re", "im")]
+        values = np.stack([sig.samples.real, sig.samples.imag], axis=2)
+    table = np.column_stack([sig.times(), values.reshape(sig.n_samples, -1)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if real:
-            writer.writerow(["time"] + [f"c{j}" for j in range(sig.width)])
-        else:
-            writer.writerow(["time"] + [f"c{j}.{part}" for j in range(sig.width)
-                                        for part in ("re", "im")])
-        for k in range(sig.n_samples):
-            row = [_fmt(sig.t0 + k * sig.dt)]
-            for j in range(sig.width):
-                v = sig.samples[k, j]
-                if real:
-                    row.append(_fmt(v.real))
-                else:
-                    row.extend([_fmt(v.real), _fmt(v.imag)])
-            writer.writerow(row)
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(["time"] + names), comments="")
 
 
 def read_signal_csv(path) -> Signal:

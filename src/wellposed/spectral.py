@@ -1,4 +1,4 @@
-"""Diagonal generator, semigroup, resolvent, and extrapolation-space norm.
+"""Diagonal generator, its semigroup and its resolvent.
 
 State vectors are plain complex numpy arrays of length N (the truncation
 order). All operations are pure; nothing here mutates its inputs.
@@ -85,8 +85,3 @@ def resolvent_apply(gen: DiagonalGenerator, lam: complex, x) -> np.ndarray:
         )
     xv = as_state(x, gen.order)
     return xv / (lam - gen.eigenvalues)
-
-
-def extrapolation_norm(gen: DiagonalGenerator, lam_ref: complex, x) -> float:
-    """Extrapolation-space norm: the l2 norm of R(lambda_ref, A) x."""
-    return float(np.linalg.norm(resolvent_apply(gen, lam_ref, x)))

@@ -159,12 +159,6 @@ class CompatReport:
 
 
 @dataclass(frozen=True)
-class MultiplierValue:
-    value: np.ndarray
-    tail_radius: float
-
-
-@dataclass(frozen=True)
 class MultiplierReport:
     grid_sup: float
     upper_bound: float
@@ -221,31 +215,12 @@ def compatibility_check(sys: SpectralSystem, lam: complex,
     return CompatReport(lam, truncated, tail, verdict, share)
 
 
-def m13_eval(sys: SpectralSystem, gamma: float,
-             compat: CompatReport | None = None) -> MultiplierValue:
-    """Evaluate m13(gamma) = C_L R(i gamma, A_{-1}) B on the truncation.
-
-    The reported tail radius is an entrywise half-width: every entry of the
-    untruncated value lies within tail_radius of the returned matrix. Requires
-    the series to be absolutely summable (exact system, or summable majorant);
-    otherwise the value would not be defined and a precondition error is
-    raised.
-    """
-    gamma = float(gamma)
-    if compat is not None:
-        tail = compat.tail_bound
-        summable = math.isfinite(compat.truncated_sum + tail)
-    else:
-        tail = _tail_sum(sys)
-        summable = math.isfinite(tail)
-    if not summable:
-        raise PreconditionError(
-            "observation series is not absolutely summable; "
-            "compatibility cannot be verified"
-        )
-    res = 1.0 / (1j * gamma - sys.gen.eigenvalues)
-    value = (sys.observation * res[None, :]) @ sys.control
-    return MultiplierValue(value, tail)
+def _m13(sys: SpectralSystem, gammas) -> np.ndarray:
+    # m13(gamma) = C_L R(i gamma, A_{-1}) B on the truncation: one (K, M)
+    # matrix per gamma, shape (G, K, M)
+    gammas = np.asarray(gammas, dtype=float)
+    res = 1.0 / (1j * gammas[:, None] - sys.gen.eigenvalues[None, :])
+    return np.einsum("kn,gn,nm->gkm", sys.observation, res, sys.control, optimize=True)
 
 
 def _thread_count() -> int:
@@ -287,13 +262,9 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
             "compatibility cannot be verified"
         )
     grid = np.linspace(-gamma_max, gamma_max, steps)
-    alpha = sys.gen.eigenvalues
-    c = sys.observation
-    b = sys.control
 
     def _chunk_max(lo: int, hi: int) -> float:
-        res = 1.0 / (1j * grid[lo:hi, None] - alpha[None, :])
-        vals = np.einsum("kn,gn,nm->gkm", c, res, b, optimize=True)
+        vals = _m13(sys, grid[lo:hi])
         return float(np.max(np.linalg.svd(vals, compute_uv=False)[:, 0]))
 
     bounds = [(lo, min(lo + _SCAN_CHUNK, steps)) for lo in range(0, steps, _SCAN_CHUNK)]
@@ -303,7 +274,7 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             grid_sup = max(pool.map(lambda span: _chunk_max(*span), bounds))
-    upper = float(np.sum(_row_weights(sys) / np.abs(alpha.real))) + tail
+    upper = float(np.sum(_row_weights(sys) / np.abs(sys.gen.eigenvalues.real))) + tail
     if grid_sup > upper * (1.0 + _SCAN_UPPER_SLACK):
         raise InternalError(
             f"grid maximum {grid_sup} exceeds its majorant {upper}"

@@ -1,14 +1,19 @@
-"""Independent evaluations of the state and input-output maps, used only to
-cross-check the production paths in `wellposed.laxphillips`.
+"""Independent evaluations used only to cross-check the production paths.
 
 The state map is integrated by parts and shares no convolution kernel with
 `control_to_state`; the input-output map is integrated by parts twice for
-smooth inputs, so its one convolution is of v'' rather than v.
+smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
+Dirichlet kernels are closed forms that the heat system's control columns
+must reproduce mode by mode.
 """
+
+import cmath
+import math
 
 import numpy as np
 
-from wellposed.errors import PreconditionError
+from wellposed.errors import DomainError, PreconditionError, SpectrumError
+from wellposed.heat import _SPECTRUM_TOL
 from wellposed.signals import _GRID_REL_TOL, Signal, exp_conv_trajectory, phi1, resample, values_at
 
 
@@ -88,3 +93,24 @@ def input_output_map_intxp(sys, t, u, dt=None):
     inv = 1.0 / alpha[None, :]
     traj = -v * inv - v1 * inv**2 + conv2 * inv**2
     return Signal(-t, h, traj @ sys.observation.T + uvals @ sys.feedthrough.T)
+
+
+def dirichlet_eval(lam: complex, s: float) -> tuple[complex, complex]:
+    """Kernels of the Dirichlet operator at lambda: the harmonic lifts q0, q1
+    with q0'(0) = 1, q0'(pi) = 0 and q1'(0) = 0, q1'(pi) = 1.
+
+    q0(s) = -cosh(z (pi - s)) / (z sinh(z pi)), q1(s) = cosh(z s) / (z sinh(z pi)),
+    z = sqrt(lambda). Both are even in z, so the principal branch is used.
+    Rewritten over e^(-z .) so nothing overflows for large |lambda|.
+    """
+    lam = complex(lam)
+    if not 0.0 <= s <= math.pi:
+        raise DomainError(f"s must lie in [0, pi], got {s}")
+    near = round(math.sqrt(max(0.0, -lam.real)))
+    if abs(lam + near * near) <= _SPECTRUM_TOL * max(1.0, abs(lam)):
+        raise SpectrumError(f"lambda = {lam} lies on the unshifted spectrum -n^2")
+    z = cmath.sqrt(lam)
+    den = 1.0 - cmath.exp(-2.0 * z * math.pi)
+    q0 = -(cmath.exp(-z * s) + cmath.exp(-z * (2.0 * math.pi - s))) / (z * den)
+    q1 = (cmath.exp(-z * (math.pi - s)) + cmath.exp(-z * (math.pi + s))) / (z * den)
+    return q0, q1

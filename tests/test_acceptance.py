@@ -20,8 +20,9 @@ from wellposed.admissibility import (
     control_gram,
     observation_gram,
 )
+from wellposed.certificate import certify_system
 from wellposed.cli import main
-from wellposed.heat import HeatConfig, build_heat_system, heat_certificate
+from wellposed.heat import HeatConfig, build_heat_system
 from wellposed.laxphillips import (
     ExtendedState,
     control_to_state,
@@ -218,6 +219,6 @@ def test_heat_constants_bounded_and_horizon_uniform():
 
 def test_shifted_certificates_agree():
     for lambda0 in (1.0, 2.0):
-        cert = heat_certificate(HeatConfig(n_modes=64, lambda0=lambda0))
+        cert = certify_system(build_heat_system(HeatConfig(n_modes=64, lambda0=lambda0)))
         assert cert["verdict"] == "WELL_POSED"
         assert cert["failures"] == []

@@ -12,7 +12,7 @@ from wellposed.certificate import (
     system_digest,
 )
 from wellposed.errors import DomainError
-from wellposed.heat import HeatConfig, build_heat_system, heat_certificate
+from wellposed.heat import HeatConfig, build_heat_system
 from wellposed.spectral import DiagonalGenerator
 from wellposed.system import SpectralSystem, build_system
 
@@ -158,7 +158,7 @@ class TestCertifySystem:
 
     def test_coarse_heat_truncation_fails_share_gate(self):
         # 16 modes leave a declared tail above ten percent of the kept sum
-        cert = heat_certificate(HeatConfig(n_modes=16, steps=501))
+        cert = certify_system(build_heat_system(HeatConfig(n_modes=16)), gamma_steps=501)
         assert cert["verdict"] == "NOT_CERTIFIED"
         assert all(not entry["verdict"] for entry in cert["compat"])
         assert any("compatibility" in f for f in cert["failures"])
@@ -168,7 +168,8 @@ class TestCertifySystem:
             certify_system(scalar_system(), lambda_probes=())
 
     def test_verdict_implies_all_pass_flags(self):
-        cert = heat_certificate(HeatConfig(n_modes=40, gamma_max=50.0, steps=501))
+        cert = certify_system(build_heat_system(HeatConfig(n_modes=40)), gamma_max=50.0,
+                              gamma_steps=501)
         if cert["verdict"] == "WELL_POSED":
             assert all(_walk_pass_flags(cert))
         else:

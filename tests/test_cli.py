@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wellposed.cli import main
+from wellposed.laxphillips import load_extended_state
 from wellposed.signals import Signal, read_signal_csv, write_signal_csv
 
 SCALAR_DESC = {
@@ -160,6 +161,25 @@ class TestSimulateCommand:
         assert any(abs(v) > 1e-6 for v in values)
         envelope = json.loads((out / "extended_state.json").read_text())
         assert envelope["schema"] == "wellposed.extended-state@1"
+
+    @pytest.mark.parametrize("t", ["1", "0.503", "2.9061"])
+    def test_state_csv_ends_at_the_stepped_state(self, tmp_path, t):
+        # state.csv samples [0, t] with step t / round(t / dt), on and off
+        # the dt grid, and its last row is the envelope's state at t
+        rng = np.random.default_rng(5)
+        u_path = tmp_path / "input.csv"
+        write_signal_csv(u_path, Signal(0.0, 0.01, rng.standard_normal((401, 2))))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--builtin", "heat", "--modes", "128", "--t", t,
+                   "--window", "4", "--dt", "0.01", "--input", str(u_path),
+                   "--out", str(out)])
+        assert rc == 0
+        lines = (out / "state.csv").read_text().splitlines()
+        assert len(lines) == 1 + round(float(t) / 0.01) + 1
+        assert float(lines[-1].split(",")[0]) == float(t)
+        state = read_signal_csv(out / "state.csv")
+        envelope = load_extended_state(out / "extended_state.json")
+        np.testing.assert_array_equal(state.samples[-1], envelope.state)
 
     def test_window_overflow_exit_one(self, tmp_path, capsys):
         spec = write_desc(tmp_path / "sys.json", SCALAR_DESC)

@@ -6,14 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from cross_oracles import dirichlet_eval
 from wellposed.errors import DomainError, SpectrumError
-from wellposed.heat import (
-    HeatConfig,
-    build_heat_system,
-    dirichlet_eval,
-    mode_weights,
-    reconstruct_temperature,
-)
+from wellposed.heat import HeatConfig, build_heat_system, mode_weights, reconstruct_temperature
+from wellposed.spectral import resolvent_apply
 from wellposed.system import HeatTail
 
 
@@ -22,21 +18,12 @@ class TestConfig:
         cfg = HeatConfig()
         assert cfg.n_modes == 64
         assert cfg.lambda0 == 1.0
-        assert cfg.gamma_max == 100.0
-        assert cfg.steps == 4001
-        assert cfg.t0 == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
             HeatConfig(n_modes=0)
         with pytest.raises(DomainError):
             HeatConfig(lambda0=0.0)
-        with pytest.raises(DomainError):
-            HeatConfig(gamma_max=-1.0)
-        with pytest.raises(DomainError):
-            HeatConfig(steps=1)
-        with pytest.raises(DomainError):
-            HeatConfig(t0=0.0)
 
 
 class TestBuildSystem:
@@ -83,6 +70,22 @@ class TestBuildSystem:
 
 
 class TestDirichletKernels:
+    def test_control_columns_are_the_boundary_lift(self):
+        # sum_n e_n(s) [R(lambda - lambda0, A) b_j]_n = q_j(s): the cosine
+        # series of the lift, whose dropped modes n >= N weigh at most
+        # (2/pi) sum_{n >= N} 1/n^2 <= (2/pi)/(N - 1) on Re(lambda) >= 0
+        s_grid = [0.0, 0.3, 1.0, math.pi / 2.0, 2.8, math.pi]
+        for n_modes in (256, 1024):
+            cfg = HeatConfig(n_modes=n_modes)
+            sys = build_heat_system(cfg)
+            bound = (2.0 / math.pi) / (n_modes - 1)
+            for lam in (1.0, 2.5, 3.0 + 2.0j):
+                want = np.array([dirichlet_eval(lam, s) for s in s_grid])
+                for j in range(2):
+                    x = resolvent_apply(sys.gen, lam - cfg.lambda0, sys.control[:, j])
+                    got = reconstruct_temperature(x, s_grid)
+                    assert np.max(np.abs(got - want[:, j])) <= bound
+
     def test_boundary_values_at_unit_lambda(self):
         q0, q1 = dirichlet_eval(1.0, 0.0)
         assert q0 == pytest.approx(-1.0 / math.tanh(math.pi), rel=1e-14)

@@ -23,7 +23,7 @@ from wellposed.laxphillips import (
     semigroup_law_residual,
     step_extended_state,
 )
-from wellposed.signals import Signal, exp_conv_trajectory, lp_norm, resample, value_at, values_at
+from wellposed.signals import Signal, exp_conv_trajectory, lp_norm, resample, values_at
 from wellposed.spectral import semigroup_apply
 from wellposed.system import build_system
 
@@ -75,8 +75,8 @@ def test_observe_zero_time():
 def test_observe_scalar_oracle():
     sig = observe_trajectory(_scalar_sys(), 1.0, [1.0], 0.125)
     assert sig.t0 == -1.0 and sig.end == pytest.approx(0.0, abs=1e-15)
-    assert value_at(sig, 0.0)[0] == pytest.approx(1.0 / _E, rel=1e-14)
-    assert value_at(sig, -1.0)[0] == pytest.approx(1.0, rel=1e-14)
+    assert values_at(sig, [0.0])[0, 0] == pytest.approx(1.0 / _E, rel=1e-14)
+    assert values_at(sig, [-1.0])[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_observe_matches_pointwise_formula():
@@ -86,7 +86,7 @@ def test_observe_matches_pointwise_formula():
     sig = observe_trajectory(sys, 0.5, x, 1e-2)
     for s in (-0.5, -0.25, -0.1, 0.0):
         expect = sys.observation @ semigroup_apply(sys.gen, 0.5 + s, x)
-        got = value_at(sig, s)
+        got = values_at(sig, [s])[0]
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
@@ -145,9 +145,9 @@ def test_io_map_quadratic_oracle():
     u = Signal(0.0, dt, (r**2)[:, None])
     sig = input_output_map(_scalar_sys(), 1.0, u)
     expect = 1.0 - 2.0 / _E
-    assert value_at(sig, 0.0)[0] == pytest.approx(expect, abs=1e-5)
+    assert values_at(sig, [0.0])[0, 0] == pytest.approx(expect, abs=1e-5)
     with_d = input_output_map(_scalar_sys(feedthrough=1.0), 1.0, u)
-    assert value_at(with_d, 0.0)[0] == pytest.approx(expect + 1.0, abs=1e-5)
+    assert values_at(with_d, [0.0])[0, 0] == pytest.approx(expect + 1.0, abs=1e-5)
 
 
 def test_io_map_intxp_agrees_on_smooth_input():
@@ -196,8 +196,8 @@ def test_step_free_evolution_matches_observe():
     observed = observe_trajectory(sys, 0.5, x, dt)
     # interior of the fresh block (the junction sample keeps shifted history)
     for s in (-0.4, -0.2, 0.0):
-        np.testing.assert_allclose(value_at(out.past_output, s),
-                                   value_at(observed, s), atol=1e-12)
+        np.testing.assert_allclose(values_at(out.past_output, [s])[0],
+                                   values_at(observed, [s])[0], atol=1e-12)
     np.testing.assert_allclose(out.state, semigroup_apply(sys.gen, 0.5, x),
                                atol=1e-14)
 
@@ -220,10 +220,10 @@ def test_step_shifts_history_and_keeps_junction():
     out = step_extended_state(sys, 0.3, xs)
     # s <= -0.3 gets the shifted history: past(t+s)
     for s in (-1.0, -0.7, -0.3):
-        assert value_at(out.past_output, s)[0] == pytest.approx(
-            value_at(xs.past_output, s + 0.3)[0], rel=1e-12)
+        assert values_at(out.past_output, [s])[0, 0] == pytest.approx(
+            values_at(xs.past_output, [s + 0.3])[0, 0], rel=1e-12)
     # fresh region from zero state and zero input is zero
-    assert value_at(out.past_output, -0.1)[0] == 0.0
+    assert values_at(out.past_output, [-0.1])[0, 0] == 0.0
 
 
 def test_step_future_shift_aligned():

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -24,8 +25,6 @@ from wellposed.signals import (
     read_signal_csv,
     resample,
     row_blocks,
-    shift_signal,
-    value_at,
     values_at,
     write_signal_csv,
 )
@@ -104,9 +103,9 @@ def test_signal_validation():
 
 def test_values_at_zero_outside():
     sig = _ramp()
-    assert value_at(sig, -0.5)[0] == 0.0
-    assert value_at(sig, 1.5)[0] == 0.0
-    assert value_at(sig, 0.55)[0] == pytest.approx(0.55, abs=1e-12)
+    assert values_at(sig, [-0.5])[0, 0] == 0.0
+    assert values_at(sig, [1.5])[0, 0] == 0.0
+    assert values_at(sig, [0.55])[0, 0] == pytest.approx(0.55, abs=1e-12)
     vals = values_at(sig, [0.0, 0.25, 2.0])
     np.testing.assert_allclose(vals[:, 0], [0.0, 0.25, 0.0], atol=1e-12)
 
@@ -142,7 +141,7 @@ def test_lp_norm_homogeneous_and_shift_invariant():
     base = lp_norm(sig, 2.0)
     scaled = Signal(sig.t0, sig.dt, 3.5 * np.asarray(sig.samples))
     assert lp_norm(scaled, 2.0) == pytest.approx(3.5 * base, rel=1e-13)
-    assert lp_norm(shift_signal(sig, -7.25), 2.0) == base
+    assert lp_norm(Signal(sig.t0 - 7.25, sig.dt, sig.samples), 2.0) == base
 
 
 def test_lp_norm_p1_constant():
@@ -465,6 +464,46 @@ def test_csv_round_trip_complex(tmp_path):
     assert path.read_text().splitlines()[0] == "time,c0.re,c0.im"
     back = read_signal_csv(path)
     np.testing.assert_array_equal(back.samples, sig.samples)
+
+
+def _reference_write_signal_csv(path, sig):
+    # the per-value csv.writer writer that write_signal_csv replaced
+    real = not np.iscomplexobj(sig.samples) or not np.any(sig.samples.imag != 0.0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if real:
+            writer.writerow(["time"] + [f"c{j}" for j in range(sig.width)])
+        else:
+            writer.writerow(["time"] + [f"c{j}.{part}" for j in range(sig.width)
+                                        for part in ("re", "im")])
+        for k in range(sig.n_samples):
+            row = [format(float(sig.t0 + k * sig.dt), ".17g")]
+            for j in range(sig.width):
+                v = sig.samples[k, j]
+                parts = [v.real] if real else [v.real, v.imag]
+                row.extend(format(float(x), ".17g") for x in parts)
+            writer.writerow(row)
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    rng = np.random.default_rng(21)
+    complex_zero_imag = rng.standard_normal((5, 2)) + 0j
+    negative_zero_imag = np.array([[1.0 + 0j], [2.0 + 0j]])
+    negative_zero_imag.imag[1, 0] = -0.0
+    cases = [
+        Signal(0.0, 0.01, rng.standard_normal((292, 128))
+               + 1j * rng.standard_normal((292, 128))),
+        Signal(0.0, 0.01, rng.standard_normal((401, 2))),
+        Signal(-4.0, 0.01, 1e-300 * rng.standard_normal((401, 1))),
+        Signal(0.1, 0.3, np.array([[-0.0, 5e-324], [1e308, -1e308], [0.0, -5e-324]])),
+        Signal(0.0, 0.5, complex_zero_imag),
+        Signal(0.0, 0.5, negative_zero_imag),
+    ]
+    for i, sig in enumerate(cases):
+        want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
+        _reference_write_signal_csv(want, sig)
+        write_signal_csv(got, sig)
+        assert got.read_bytes() == want.read_bytes(), i
 
 
 def test_csv_rejects_nonuniform_grid(tmp_path):

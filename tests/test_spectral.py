@@ -10,7 +10,6 @@ from wellposed.errors import (
 from wellposed.spectral import (
     DiagonalGenerator,
     as_state,
-    extrapolation_norm,
     resolvent_apply,
     semigroup_apply,
 )
@@ -80,12 +79,6 @@ def test_resolvent_half_plane_guard():
         resolvent_apply(gen, -1.0, np.zeros(5))
     with pytest.raises(SpectrumError):
         resolvent_apply(gen, -2.0 + 4.0j, np.zeros(5))
-
-
-def test_extrapolation_norm_single_mode():
-    gen = DiagonalGenerator(np.array([-1.0 + 0j]))
-    # |1 / (1 - (-1))| = 0.5
-    assert extrapolation_norm(gen, 1.0, [1.0]) == pytest.approx(0.5, abs=1e-16)
 
 
 def test_generator_validation():
