@@ -14,10 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, PreconditionError, StabilityError
-from .signals import phi1
+from .signals import _PHI_SERIES_SWITCH, phi1
 from .system import MultiplierReport, SpectralSystem
 
 _MAX_GRAM_ORDER = 4096
+
+# Grams up to this order keep the dense eigensolver; larger ones use Lanczos
+_DENSE_EIG_ORDER = 64
+
+# relative shift above the Lanczos value that the Cholesky guard checks
+_GUARD_REL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -48,41 +54,96 @@ class AdmissibilityReport:
     omega: float
 
 
-def _pair_kernel(w: np.ndarray, t0: float) -> np.ndarray:
-    # (e^(w t0) - 1)/w, stable near w = 0
-    if np.any(np.abs(w) == 0.0):
-        raise InternalError("eigenvalue pair sum hit zero despite stability")
-    return t0 * phi1(w * t0)
-
-
-def observation_gram(sys: SpectralSystem, t0: float) -> tuple[np.ndarray, float]:
-    """Gram matrix of s -> C e^(As) on [0, t0] and its largest eigenvalue M_obs,
-    the smallest constant with int_0^t0 ||C e^(As) x||^2 ds <= M_obs ||x||^2."""
+def _check_window(sys: SpectralSystem, t0: float) -> None:
     if not t0 > 0:
         raise DomainError(f"t0 must be > 0, got {t0}")
     if sys.n_modes > _MAX_GRAM_ORDER:
         raise DomainError(f"Gram path supports up to {_MAX_GRAM_ORDER} modes")
-    alpha = sys.gen.eigenvalues
+
+
+def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
+    """K_ij = int_0^t0 e^(w_ij s) ds with w_ij = conj(alpha_i) + alpha_j, the
+    observation Gram's kernel; the control Gram's is exactly its conjugate.
+
+    K_ij = (conj(e_i) e_j - 1)/w_ij from the N exponentials e = e^(alpha t0),
+    so no N x N exponential is formed, except where |w_ij t0| is below
+    _PHI_SERIES_SWITCH: that difference would cancel there, and phi1's
+    series takes those entries.
+    """
     w = np.conj(alpha)[:, None] + alpha[None, :]
-    gram = (sys.observation.conj().T @ sys.observation) * _pair_kernel(w, t0)
+    if np.any(w == 0.0):
+        raise InternalError("eigenvalue pair sum hit zero despite stability")
+    e = np.exp(alpha * t0)
+    kernel = np.conj(e)[:, None] * e[None, :]
+    kernel -= 1.0
+    kernel /= w
+    w *= t0
+    small = np.abs(w) < _PHI_SERIES_SWITCH
+    if np.any(small):
+        kernel[small] = t0 * phi1(w[small])
+    return kernel
+
+
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian Gram.
+
+    Orders up to _DENSE_EIG_ORDER use the dense eigensolver. Larger ones take
+    the Lanczos (ARPACK) Ritz value theta and keep it only if the Cholesky
+    factorisation of theta (1 + _GUARD_REL) I - G succeeds, which shows that
+    no eigenvalue lies above that shift (Rump, Acta Numerica 2010). An
+    unconverged or rejected theta falls back to the dense eigensolver.
+    """
+    n = gram.shape[0]
+    if not np.any(gram):
+        return 0.0
+    if n > _DENSE_EIG_ORDER:
+        # imported here: scipy.sparse.linalg would slow every package import
+        from scipy.linalg import LinAlgError, cho_factor
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+        # a fixed start vector keeps the value deterministic
+        v0 = np.random.default_rng(0).standard_normal(n).astype(gram.dtype)
+        try:
+            theta = float(eigsh(gram, k=1, which="LA", v0=v0, tol=0,
+                                return_eigenvectors=False)[0])
+            shifted = np.negative(gram, order="F")
+            shifted[np.diag_indices(n)] += theta * (1.0 + _GUARD_REL)
+            cho_factor(shifted, overwrite_a=True, check_finite=False)
+            return theta
+        except (ArpackNoConvergence, LinAlgError):
+            pass
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _gram(outer: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, float]:
+    gram = outer * kernel
     gram = 0.5 * (gram + gram.conj().T)
-    m_obs = float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
-    return gram, m_obs
+    return gram, max(_top_eigenvalue(gram), 0.0)
 
 
-def control_gram(sys: SpectralSystem, t0: float) -> tuple[np.ndarray, float]:
+def observation_gram(sys: SpectralSystem, t0: float, *,
+                     _kernel: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Gram matrix of s -> C e^(As) on [0, t0] and its largest eigenvalue M_obs,
+    the smallest constant with int_0^t0 ||C e^(As) x||^2 ds <= M_obs ||x||^2.
+
+    ``_kernel`` is the kernel admissibility_report shares between the Grams."""
+    _check_window(sys, t0)
+    kernel = _gram_kernel(sys.gen.eigenvalues, t0) if _kernel is None else _kernel
+    return _gram(sys.observation.conj().T @ sys.observation, kernel)
+
+
+def control_gram(sys: SpectralSystem, t0: float, *,
+                 _kernel: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Gram matrix of the reachability map on [0, t0] and M_ctl, the smallest
-    constant with ||int_0^t0 e^(A(t0-r)) B u(r) dr|| <= M_ctl ||u||_2."""
-    if not t0 > 0:
-        raise DomainError(f"t0 must be > 0, got {t0}")
-    if sys.n_modes > _MAX_GRAM_ORDER:
-        raise DomainError(f"Gram path supports up to {_MAX_GRAM_ORDER} modes")
-    alpha = sys.gen.eigenvalues
-    w = alpha[:, None] + np.conj(alpha)[None, :]
-    gram = (sys.control @ sys.control.conj().T) * _pair_kernel(w, t0)
-    gram = 0.5 * (gram + gram.conj().T)
-    m_ctl = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    return gram, m_ctl
+    constant with ||int_0^t0 e^(A(t0-r)) B u(r) dr|| <= M_ctl ||u||_2.
+
+    ``_kernel`` is the kernel admissibility_report shares between the Grams,
+    already conjugated."""
+    _check_window(sys, t0)
+    if _kernel is None:
+        _kernel = np.conj(_gram_kernel(sys.gen.eigenvalues, t0))
+    gram, top = _gram(sys.control @ sys.control.conj().T, _kernel)
+    return gram, math.sqrt(top)
 
 
 def pair_constant(scan: MultiplierReport | None) -> PairInterval:
@@ -125,8 +186,11 @@ def admissibility_report(sys: SpectralSystem, t0: float,
                          scan: MultiplierReport | None,
                          p: float = 2.0) -> AdmissibilityReport:
     """Assemble the local constants and their global extensions in one report."""
-    _, m_obs = observation_gram(sys, t0)
-    _, m_ctl = control_gram(sys, t0)
+    _check_window(sys, t0)
+    # one kernel for both Grams; [1] drops each Gram as soon as it is read
+    kernel = _gram_kernel(sys.gen.eigenvalues, t0)
+    m_obs = observation_gram(sys, t0, _kernel=kernel)[1]
+    m_ctl = control_gram(sys, t0, _kernel=np.conj(kernel, out=kernel))[1]
     pair = pair_constant(scan)
     consts = global_constants(m_obs, m_ctl, pair.upper, sys.gen.k,
                               sys.gen.omega, p, t0)

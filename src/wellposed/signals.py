@@ -131,11 +131,9 @@ class Signal:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DimensionError(f"samples must be (n, d) with n >= 1, got {arr.shape}")
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
+        arr = np.array(arr, dtype=arr.dtype if np.iscomplexobj(arr) else float, copy=True)
         if not np.all(np.isfinite(arr)):
             raise DomainError("samples must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

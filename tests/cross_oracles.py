@@ -4,7 +4,8 @@ The state map is integrated by parts and shares no convolution kernel with
 `control_to_state`; the input-output map is integrated by parts twice for
 smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
 Dirichlet kernels are closed forms that the heat system's control columns
-must reproduce mode by mode.
+must reproduce mode by mode. The Gram constants are recomputed with a kernel
+per Gram and the full dense spectrum.
 """
 
 import cmath
@@ -114,3 +115,21 @@ def dirichlet_eval(lam: complex, s: float) -> tuple[complex, complex]:
     q0 = -(cmath.exp(-z * s) + cmath.exp(-z * (2.0 * math.pi - s))) / (z * den)
     q1 = (cmath.exp(-z * (math.pi - s)) + cmath.exp(-z * (math.pi + s))) / (z * den)
     return q0, q1
+
+
+def dense_gram_constants(sys, t0):
+    """M_obs and M_ctl from two Grams built apart, each kernel
+    t0 phi1(w t0) formed entry by entry from its own pair sums w, and the
+    full spectrum of the dense eigensolver."""
+    alpha = sys.gen.eigenvalues
+
+    def top(outer, w):
+        gram = outer * (t0 * phi1(w * t0))
+        gram = 0.5 * (gram + gram.conj().T)
+        return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+
+    m_obs = top(sys.observation.conj().T @ sys.observation,
+                np.conj(alpha)[:, None] + alpha[None, :])
+    m_ctl = math.sqrt(top(sys.control @ sys.control.conj().T,
+                          alpha[:, None] + np.conj(alpha)[None, :]))
+    return m_obs, m_ctl

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from cross_oracles import dense_gram_constants
+from wellposed import admissibility
 from wellposed.cli import main
 from wellposed.laxphillips import load_extended_state
 from wellposed.signals import Signal, read_signal_csv, write_signal_csv
@@ -85,6 +87,20 @@ class TestCertifyCommand:
         assert rc == 2
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["verdict"] == "NOT_CERTIFIED"
+
+    @pytest.mark.parametrize("probes", [[], ["--lambda-probes", "1"]])
+    def test_heat_certificate_bytes_match_dense_grams(self, tmp_path, monkeypatch, probes):
+        # up to _DENSE_EIG_ORDER modes the shared kernel and the eigensolver
+        # reproduce, bit for bit, a kernel per Gram and the full dense spectrum
+        args = ["certify", "--builtin", "heat", "--modes", "64", *probes, "--out"]
+        assert main(args + [str(tmp_path / "shared")]) == 0
+        monkeypatch.setattr(admissibility, "observation_gram",
+                            lambda sys, t0, **_: (None, dense_gram_constants(sys, t0)[0]))
+        monkeypatch.setattr(admissibility, "control_gram",
+                            lambda sys, t0, **_: (None, dense_gram_constants(sys, t0)[1]))
+        assert main(args + [str(tmp_path / "dense")]) == 0
+        shared = (tmp_path / "shared" / "certificate.json").read_bytes()
+        assert shared == (tmp_path / "dense" / "certificate.json").read_bytes()
 
     def test_exploratory_gate(self, tmp_path, capsys):
         spec = write_desc(tmp_path / "sys.json", SCALAR_DESC)

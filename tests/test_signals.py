@@ -434,15 +434,26 @@ def test_conv_trajectory_memory_near_output():
     assert peak <= 1.25 * traj.nbytes
 
 
-def test_import_skips_scipy_signal():
-    # scipy.signal would dominate the package's import time and memory
+def loaded_by_import(module: str) -> bool:
+    """Whether `import wellposed` in a fresh interpreter loads module."""
     src = str(Path(wellposed.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, wellposed; print('scipy.signal' in sys.modules)"
+    code = f"import sys, wellposed; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal would dominate the package's import time and memory
+    assert not loaded_by_import("scipy.signal")
+
+
+def test_import_skips_scipy_sparse_linalg():
+    # the Gram constants import ARPACK on first use; at import it would add
+    # about 85 ms to every set-up
+    assert not loaded_by_import("scipy.sparse.linalg")
 
 
 def test_csv_round_trip(tmp_path):
