@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, PreconditionError, StabilityError
-from .signals import _PHI_SERIES_SWITCH, phi1
 from .system import MultiplierReport, SpectralSystem
 
 _MAX_GRAM_ORDER = 4096
@@ -66,9 +65,9 @@ def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
     observation Gram's kernel; the control Gram's is exactly its conjugate.
 
     K_ij = (conj(e_i) e_j - 1)/w_ij from the N exponentials e = e^(alpha t0),
-    so no N x N exponential is formed, except where |w_ij t0| is below
-    _PHI_SERIES_SWITCH: that difference would cancel there, and phi1's
-    series takes those entries.
+    so no N x N exponential is formed, except where the numerator
+    |conj(e_i) e_j - 1| is below 1/2: it cancels there, and expm1(w_ij t0)/w_ij
+    takes those entries.
     """
     w = np.conj(alpha)[:, None] + alpha[None, :]
     if np.any(w == 0.0):
@@ -76,11 +75,10 @@ def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
     e = np.exp(alpha * t0)
     kernel = np.conj(e)[:, None] * e[None, :]
     kernel -= 1.0
-    kernel /= w
-    w *= t0
-    small = np.abs(w) < _PHI_SERIES_SWITCH
+    small = np.abs(kernel) < 0.5
     if np.any(small):
-        kernel[small] = t0 * phi1(w[small])
+        kernel[small] = np.expm1(w[small] * t0)
+    kernel /= w
     return kernel
 
 

@@ -158,8 +158,7 @@ def _probe_input(n_inputs: int, dt: float) -> Signal:
 def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
                    gamma_max: float = 100.0, gamma_steps: int = 4001,
                    lambda_probes: tuple[complex, ...] = DEFAULT_PROBES,
-                   dt: float = 1e-3, t_max: float = 40.0,
-                   share: float = DEFAULT_TAIL_SHARE) -> dict:
+                   dt: float = 1e-3, t_max: float = 40.0) -> dict:
     """Run the full pipeline and return the certificate document.
 
     Every step runs even after a failure so the report stays complete; only
@@ -168,6 +167,11 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     """
     if not lambda_probes:
         raise DomainError("at least one probe frequency is required")
+    for name, value in (("dt", dt), ("t_max", t_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     failures: list[str] = []
     mode = "certify" if p == 2.0 else "exploratory"
     if mode == "exploratory":
@@ -175,7 +179,7 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
 
     compat_reports = []
     for lam in lambda_probes:
-        report = compatibility_check(sys, lam, share=share)
+        report = compatibility_check(sys, lam)
         compat_reports.append(report)
         if not report.verdict:
             failures.append(f"compatibility failed at lambda = {complex(lam)}")
@@ -219,14 +223,14 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
             "dt": float(dt),
             "tMax": float(t_max),
             "lambdaProbes": [_pair(lam) for lam in lambda_probes],
-            "tailShare": float(share),
+            "tailShare": DEFAULT_TAIL_SHARE,
         },
         "compat": [
             {
                 "lambda": _pair(r.lambda_probe),
                 "truncatedSum": _finite_or_none(r.truncated_sum),
                 "tailBound": _finite_or_none(r.tail_bound),
-                "share": r.share,
+                "share": DEFAULT_TAIL_SHARE,
                 "verdict": r.verdict,
             }
             for r in compat_reports

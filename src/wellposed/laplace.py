@@ -18,19 +18,20 @@ from .signals import (
     _GRID_REL_TOL,
     Signal,
     exp_conv_blocks,
-    exp_segment_integral,
     phi1,
     phi2,
     resample,
     row_blocks,
     segment_weights,
-    values_at,
 )
 from .spectral import as_state, resolvent_apply
 from .system import SpectralSystem
 
 # safety factor on the a-posteriori second-difference quadrature estimate
 _QUAD_SAFETY = 2.0
+
+# offsets s at which r12 and r13 observe the output blocks
+_S_VALUES = (0.0, -0.5, -1.0)
 
 
 @dataclass(frozen=True)
@@ -58,56 +59,46 @@ class ResolventCheck:
 
 
 def laplace_transform(sig: Signal, lam: complex,
-                      tail: tuple[float, float, float] | None = None
+                      tail: tuple[float, float] | None = None
                       ) -> tuple[np.ndarray, float]:
-    """Integrate e^(-lam r) against the piecewise-linear signal over r >= 0.
+    """Integrate e^(-lam r) against the piecewise-linear signal over its grid,
+    which must start at t0 >= 0.
 
     The segment integrals are exact for the interpolant, so the only error is
     what the samples fail to see.  ``tail`` declares how the underlying
-    function continues beyond the grid as ``(k, omega, amplitude)`` with
-    ||s(r)|| <= amplitude * k * e^(omega r); the returned bound
+    function continues beyond the grid as ``(omega, amplitude)`` with
+    ||s(r)|| <= amplitude * e^(omega r); the returned bound
 
-        k * e^((omega - Re lam) T) / (Re lam - omega) * amplitude
+        e^((omega - Re lam) T) / (Re lam - omega) * amplitude
 
     then majorizes the discarded integral over r > T.  ``tail=None`` asserts
     the function vanishes there, making the transform exact up to sampling.
     """
     lam = complex(lam)
+    if sig.t0 < 0:
+        raise DomainError(f"signal must start at t0 >= 0, got {sig.t0}")
     if tail is not None:
-        k_t, omega_t, amp_t = float(tail[0]), float(tail[1]), float(tail[2])
-        if k_t <= 0 or amp_t < 0:
-            raise DomainError("tail envelope needs k > 0 and amplitude >= 0")
+        omega_t, amp_t = float(tail[0]), float(tail[1])
+        if amp_t < 0:
+            raise DomainError("tail envelope needs amplitude >= 0")
         if lam.real <= 0:
             raise DomainError(
                 f"Re(lambda) must be > 0 when the signal continues, got {lam}")
         if lam.real <= omega_t:
             raise DomainError(
                 f"Re(lambda) = {lam.real} does not dominate tail rate {omega_t}")
-    value = np.zeros(sig.width, dtype=complex)
-    a = max(0.0, sig.t0)
-    b = sig.end
-    if b > a + _GRID_REL_TOL * sig.dt:
-        h = sig.dt
-        knots = sig.times()
-        ka = int(np.ceil((a - sig.t0) / h - _GRID_REL_TOL))
-        if knots[ka] > a + _GRID_REL_TOL * h:
-            # partial head segment [a, knots[ka]]
-            value += exp_segment_integral(lam, 0.0, a, knots[ka], values_at(sig, [a])[0],
-                                          sig.samples[ka])
-        if ka < sig.n_samples - 1:
-            w = lam * h
-            weights = segment_weights(sig.samples[ka:], h, phi1(w), phi2(w))
-            factors = np.exp(-lam * knots[ka + 1:])
-            value += np.sum(factors[:, None] * weights, axis=0)
+    w = lam * sig.dt
+    weights = segment_weights(sig.samples, sig.dt, phi1(w), phi2(w))
+    factors = np.exp(-lam * sig.times()[1:])
+    value = np.sum(factors[:, None] * weights, axis=0)
     if tail is None:
         return value, 0.0
-    return value, _tail_bound(lam, max(b, 0.0), k_t, omega_t, amp_t)
+    return value, _tail_bound(lam, sig.end, omega_t, amp_t)
 
 
-def _tail_bound(lam: complex, t_end: float, k: float, omega: float,
-                amp: float) -> float:
-    """Transform of the envelope amp * k * e^(omega r) over r > t_end."""
-    return float(k * np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
+def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
+    """Transform of the envelope amp * e^(omega r) over r > t_end."""
+    return float(np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
 
 
 def _free_output_transform(alpha: np.ndarray, c: np.ndarray, x: np.ndarray,
@@ -144,7 +135,7 @@ def _free_output_transform(alpha: np.ndarray, c: np.ndarray, x: np.ndarray,
         for a, b in row_blocks(n + 1, alpha.shape[0]):
             y[a:b] = (np.exp(np.outer(grid[a:b] + s, alpha)) * x) @ c.T
         last = i == len(pieces) - 1
-        piece_tail = (1.0, omega, amp) if last else None
+        piece_tail = (omega, amp) if last else None
         v, tb = laplace_transform(Signal(t0, h, y), lam, piece_tail)
         value += v
         quad += _quad_budget(y, grid, h, lam)
@@ -179,14 +170,12 @@ def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
 
 
 def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
-                             t_max: float, dt: float,
-                             s_values: tuple[float, ...] = (0.0, -0.5, -1.0)
-                             ) -> ResolventCheck:
+                             t_max: float, dt: float) -> ResolventCheck:
     """Check the three nontrivial block transforms against their resolvent
     closed forms at one frequency.
 
-    r12: the observation block of the evolved state at each fixed offset s,
-         transformed in t, against e^(lam s) C R(lam, A) x.
+    r12: the observation block of the evolved state at each fixed offset s
+         in _S_VALUES, transformed in t, against e^(lam s) C R(lam, A) x.
     r23: the controlled state against R(lam, A) B u_hat(lam).
     r13: the input-output block at fixed s against
          e^(lam s) (C R(lam, A) B u_hat(lam) + D u_hat(lam)).
@@ -215,11 +204,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     x = as_state(x, sys.n_modes)
     if u.width != sys.n_inputs:
         raise DimensionError(f"input has {u.width} channels, system expects {sys.n_inputs}")
-    s_values = tuple(float(s) for s in s_values)
-    for s in s_values:
-        if s > 0 or -s >= t_max:
-            raise DomainError(f"offsets must satisfy -t_max < s <= 0, got {s}")
-    horizon = t_max + min(s_values)
+    horizon = t_max + min(_S_VALUES)
+    if not horizon > 0:
+        raise DomainError(f"t_max must exceed {-min(_S_VALUES)}, got {t_max}")
     if u.t0 < -_GRID_REL_TOL or u.end > horizon + _GRID_REL_TOL:
         raise DomainError(
             f"input support must lie inside [0, {horizon}] so decay envelopes apply")
@@ -241,7 +228,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     ok12 = True
     closed_state = c @ resolvent_apply(sys.gen, lam, x)
     amp12 = float(np.sum(col_norm * np.abs(x)))
-    for s in s_values:
+    for s in _S_VALUES:
         num, qb, tb = _free_output_transform(alpha, c, x, s, t_max, dt, lam,
                                              omega, amp12 * np.exp(omega * s))
         residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_state)))
@@ -250,7 +237,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
 
     # r23 and r13: one forced trajectory, streamed in row blocks
     steps = int(round(t_max / dt))
-    r13_steps = [int(round((t_max + s) / dt)) for s in s_values]
+    r13_steps = [int(round((t_max + s) / dt)) for s in _S_VALUES]
     u_grid = resample(u, 0.0, dt, steps + 1).samples
     # past the input's last nonzero sample the drive is zero and forms no g_k
     live = np.flatnonzero(np.any(u_grid != 0.0, axis=1))
@@ -288,7 +275,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     # r23: controlled state transformed componentwise
     t_end = dt * steps
     amp23 = float(np.linalg.norm(ends[steps])) * np.exp(-omega * t_end)
-    tail23 = _tail_bound(lam, t_end, 1.0, omega, amp23)
+    tail23 = _tail_bound(lam, t_end, omega, amp23)
     res23 = float(np.linalg.norm(num23 - state_hat))
     # _quad_budget's estimate, with the norm over modes in place of the worst component
     quad23 = _QUAD_SAFETY * (dt / 12.0) * float(np.sum(curv23))
@@ -298,11 +285,11 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     res13 = quad13 = tail13 = 0.0
     ok13 = True
     closed_out = c @ state_hat + sys.feedthrough @ u_hat
-    for s, steps_s in zip(s_values, r13_steps):
+    for s, steps_s in zip(_S_VALUES, r13_steps):
         grid = -s + dt * np.arange(steps_s + 1)
         y_s = y[:steps_s + 1]
         amp13 = float(np.sum(col_norm * np.abs(ends[steps_s]))) * np.exp(-omega * grid[-1])
-        num, tb = laplace_transform(Signal(-s, dt, y_s), lam, (1.0, omega, amp13))
+        num, tb = laplace_transform(Signal(-s, dt, y_s), lam, (omega, amp13))
         residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_out)))
         qb = _quad_budget(y_s, grid, dt, lam)
         res13, quad13, tail13 = max(res13, residual), max(quad13, qb), max(tail13, tb)
@@ -313,4 +300,4 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         EntryResidual("r23", res23, quad23, tail23, ok23),
         EntryResidual("r13", res13, quad13, tail13, ok13),
     )
-    return ResolventCheck(lam, float(t_max), float(dt), s_values, entries)
+    return ResolventCheck(lam, float(t_max), float(dt), _S_VALUES, entries)

@@ -27,7 +27,7 @@ from .signals import (
     write_signal_csv,
 )
 from .spectral import as_state, semigroup_apply
-from .system import SpectralSystem
+from .system import SpectralSystem, _entry
 
 _ENVELOPE_SCHEMA = "wellposed.extended-state@1"
 
@@ -206,7 +206,7 @@ def semigroup_law_residual(sys: SpectralSystem, t: float, s: float,
     return float(max(d_past, d_state, d_fut))
 
 
-def save_extended_state(dir_path, xs: ExtendedState, stem: str = "") -> Path:
+def save_extended_state(dir_path, xs: ExtendedState) -> Path:
     """Write past/future CSVs plus a JSON envelope referencing them; returns
     the envelope path. Degenerate single-sample signals cannot round-trip
     through CSV and are rejected."""
@@ -214,17 +214,15 @@ def save_extended_state(dir_path, xs: ExtendedState, stem: str = "") -> Path:
         raise SchemaError("signals need at least 2 samples to serialize")
     directory = Path(dir_path)
     directory.mkdir(parents=True, exist_ok=True)
-    past_name = f"{stem}past_output.csv"
-    future_name = f"{stem}future_input.csv"
-    write_signal_csv(directory / past_name, xs.past_output)
-    write_signal_csv(directory / future_name, xs.future_input)
+    write_signal_csv(directory / "past_output.csv", xs.past_output)
+    write_signal_csv(directory / "future_input.csv", xs.future_input)
     envelope = {
         "schema": _ENVELOPE_SCHEMA,
-        "pastOutput": past_name,
-        "futureInput": future_name,
+        "pastOutput": "past_output.csv",
+        "futureInput": "future_input.csv",
         "state": [[float(z.real), float(z.imag)] for z in xs.state],
     }
-    path = directory / f"{stem}extended_state.json"
+    path = directory / "extended_state.json"
     path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -241,11 +239,12 @@ def load_extended_state(envelope_path) -> ExtendedState:
     for key in ("pastOutput", "futureInput", "state"):
         if key not in raw:
             raise SchemaError(f"{path}: missing field {key!r}")
-    state = []
-    for i, entry in enumerate(raw["state"]):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise SchemaError(f"{path}: state[{i}] must be an [re, im] pair")
-        state.append(complex(entry[0], entry[1]))
+    for key in ("pastOutput", "futureInput"):
+        if not isinstance(raw[key], str):
+            raise SchemaError(f"{path}: {key} must be a file name, got {raw[key]!r}")
+    if not isinstance(raw["state"], list):
+        raise SchemaError(f"{path}: state must be a list of [re, im] pairs")
+    state = [_entry(v, f"{path}: state[{i}]") for i, v in enumerate(raw["state"])]
     past = read_signal_csv(path.parent / raw["pastOutput"])
     future = read_signal_csv(path.parent / raw["futureInput"])
     return ExtendedState(past, np.asarray(state, dtype=complex), future)

@@ -72,9 +72,8 @@ def phi2(z):
 def exp_segment_integral(alpha, T, r0, r1, u0, u1):
     """Exact value of int_{r0}^{r1} e^(alpha (T - r)) u(r) dr, u linear on [r0, r1].
 
-    Only r0 < r1 is required; T is the kernel anchor and may lie anywhere
-    (the Laplace transform reuses this with T = 0 and alpha = lambda). The
-    arguments broadcast against each other, so one call integrates many
+    Only r0 < r1 is required; T is the kernel anchor and may lie anywhere.
+    The arguments broadcast against each other, so one call integrates many
     segments.
     """
     h = r1 - r0

@@ -11,8 +11,6 @@ or carries a declared tail majorant that dominates the dropped rows
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -155,7 +153,6 @@ class CompatReport:
     truncated_sum: float
     tail_bound: float
     verdict: bool
-    share: float
 
 
 @dataclass(frozen=True)
@@ -184,22 +181,19 @@ def _tail_sum(sys: SpectralSystem) -> float:
     return float(sys.tail.sum_from(sys.n_modes))
 
 
-def compatibility_check(sys: SpectralSystem, lam: complex,
-                        share: float = DEFAULT_TAIL_SHARE) -> CompatReport:
+def compatibility_check(sys: SpectralSystem, lam: complex) -> CompatReport:
     """Check that the observation series of R(lambda, A_{-1})B converges absolutely.
 
     The truncated sum runs over stored modes; the tail bound comes from the
     declared majorant (zero for exact systems). The verdict asks the tail to
-    carry less than ``share`` of the truncated mass, so the stored modes
-    dominate the series.
+    carry less than DEFAULT_TAIL_SHARE of the truncated mass, so the stored
+    modes dominate the series.
     """
     lam = complex(lam)
     if not lam.real > sys.gen.omega:
         raise SpectrumError(
             f"lambda = {lam} outside the resolvent half-plane Re(lambda) > {sys.gen.omega}"
         )
-    if not share > 0:
-        raise DomainError(f"share must be > 0, got {share}")
     rows = _row_weights(sys)
     truncated = float(np.sum(rows / np.abs(lam - sys.gen.eigenvalues)))
     tail = 0.0
@@ -211,8 +205,8 @@ def compatibility_check(sys: SpectralSystem, lam: complex,
             )
         tail = _tail_sum(sys)
     finite = math.isfinite(truncated + tail)
-    verdict = finite and (tail == 0.0 or tail < share * truncated)
-    return CompatReport(lam, truncated, tail, verdict, share)
+    verdict = finite and (tail == 0.0 or tail < DEFAULT_TAIL_SHARE * truncated)
+    return CompatReport(lam, truncated, tail, verdict)
 
 
 def _m13(sys: SpectralSystem, gammas) -> np.ndarray:
@@ -223,22 +217,6 @@ def _m13(sys: SpectralSystem, gammas) -> np.ndarray:
     return np.einsum("kn,gn,nm->gkm", sys.observation, res, sys.control, optimize=True)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WELLPOSED_THREADS", "").strip()
-    if raw == "":
-        n = 0
-    else:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise DomainError(f"WELLPOSED_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise DomainError(f"WELLPOSED_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
 def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> MultiplierReport:
     """Scan ||m13(gamma)||_2 on a uniform grid over [-gamma_max, gamma_max].
 
@@ -247,9 +225,8 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
     sum_n ||c_n|| sum_j |b_nj| / |Re alpha_n| + tail. No interpolation between
     grid points is attempted; the true sup lies in the sandwich.
 
-    Chunks of the grid may be scanned concurrently (WELLPOSED_THREADS, 0 =
-    auto). Chunk boundaries are fixed, and max-reduction is order-independent,
-    so the result does not depend on the thread count.
+    The grid is evaluated _SCAN_CHUNK points at a time, so the (chunk, K, M)
+    symbol array and its temporaries stay bounded; BLAS threads each chunk.
     """
     if not gamma_max > 0:
         raise DomainError(f"gamma_max must be > 0, got {gamma_max}")
@@ -262,18 +239,10 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
             "compatibility cannot be verified"
         )
     grid = np.linspace(-gamma_max, gamma_max, steps)
-
-    def _chunk_max(lo: int, hi: int) -> float:
-        vals = _m13(sys, grid[lo:hi])
-        return float(np.max(np.linalg.svd(vals, compute_uv=False)[:, 0]))
-
-    bounds = [(lo, min(lo + _SCAN_CHUNK, steps)) for lo in range(0, steps, _SCAN_CHUNK)]
-    workers = _thread_count()
-    if workers <= 1 or len(bounds) == 1:
-        grid_sup = max(_chunk_max(lo, hi) for lo, hi in bounds)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grid_sup = max(pool.map(lambda span: _chunk_max(*span), bounds))
+    grid_sup = max(
+        float(np.max(np.linalg.svd(_m13(sys, grid[lo:lo + _SCAN_CHUNK]),
+                                   compute_uv=False)[:, 0]))
+        for lo in range(0, steps, _SCAN_CHUNK))
     upper = float(np.sum(_row_weights(sys) / np.abs(sys.gen.eigenvalues.real))) + tail
     if grid_sup > upper * (1.0 + _SCAN_UPPER_SLACK):
         raise InternalError(

@@ -96,11 +96,13 @@ class TestObservationGram:
 
     @pytest.mark.parametrize("t0", [0.5, 1.0, 3.0])
     def test_kernel_matches_expm1_closed_form(self, t0):
-        # pair sums from |w t0| ~ 1e-8, on phi1's series, to far past its switch
+        # pair sums from |w t0| ~ 1e-8 to far past the cancelling range
         rng = np.random.default_rng(83)
         re = -(10.0 ** rng.uniform(-8.0, 1.0, 60))
         im = np.where(rng.random(60) < 0.5, 0.0, rng.uniform(-1.0, 1.0, 60))
         alpha = re + 1j * im
+        # a pair whose w t0 is large but whose e^(w t0) - 1 cancels
+        alpha = np.append(alpha, [-1e-6, -1e-6 + 2j * np.pi])
         w = np.conj(alpha)[:, None] + alpha[None, :]
         ref = np.expm1(w * t0) / w
         kernel = _gram_kernel(alpha, t0)

@@ -1,5 +1,6 @@
-"""The package exports the API the README documents, and src/ holds no public
-function or class that nothing in the package uses and nothing exports."""
+"""The package exports the API the README documents, src/ holds no public
+function or class that nothing in the package uses and nothing exports, and no
+module reads the environment or starts threads."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,24 @@ def test_all_is_the_documented_api():
 def test_every_public_definition_is_used_or_exported():
     package_dir = Path(wellposed.__file__).parent
     assert unused_public_definitions(package_dir, DOCUMENTED) == []
+
+
+def test_no_environment_or_thread_knobs():
+    # every setting is a parameter or a constant: no module reads os.environ
+    # or os.getenv, or imports concurrent.futures or threading
+    package_dir = Path(wellposed.__file__).parent
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name in ("environ", "getenv")
+                      or name.split(".")[0] in ("concurrent", "threading")]
+    assert found == []

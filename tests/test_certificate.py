@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wellposed import certificate
 from wellposed.certificate import (
     canonical_json,
     certify_system,
@@ -166,6 +167,18 @@ class TestCertifySystem:
     def test_requires_probes(self):
         with pytest.raises(DomainError):
             certify_system(scalar_system(), lambda_probes=())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": 0.0}, {"dt": math.nan}, {"t_max": math.inf}, {"t_max": -1.0},
+        {"p": math.nan}, {"p": 0.5}, {"p": math.inf},
+    ])
+    def test_rejects_bad_parameters_before_any_stage(self, monkeypatch, kwargs):
+        def stage(*args, **kw):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(certificate, "compatibility_check", stage)
+        with pytest.raises(DomainError):
+            certify_system(scalar_system(), **kwargs)
 
     def test_verdict_implies_all_pass_flags(self):
         cert = certify_system(build_heat_system(HeatConfig(n_modes=40)), gamma_max=50.0,

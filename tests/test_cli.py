@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cross_oracles import dense_gram_constants
+import wellposed
 from wellposed import admissibility
 from wellposed.cli import main
 from wellposed.laxphillips import load_extended_state
@@ -124,6 +127,16 @@ class TestCertifyCommand:
         assert rc == 1
         assert "probe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "nan"],
+                                       ["--p", "nan", "--exploratory"]])
+    def test_bad_parameters_fail_before_any_stage(self, tmp_path, capsys, flags):
+        rc = main(["certify", "--builtin", "heat", "--modes", "4",
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_system_source_is_exclusive(self, tmp_path, capsys):
         spec = write_desc(tmp_path / "sys.json", SCALAR_DESC)
         assert main(["certify"]) == 1
@@ -230,8 +243,12 @@ class TestSimulateCommand:
 
 class TestEntryPoints:
     def test_module_execution(self):
+        # the child finds the package where this process imported it from
+        src = str(Path(wellposed.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "wellposed", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "certify" in proc.stdout and "simulate" in proc.stdout
 

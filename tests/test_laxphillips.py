@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -400,6 +401,24 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("not json")
     with pytest.raises(SchemaError):
         load_extended_state(bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pastOutput", 5),
+    ("state", 5),
+    ("state", [["a", 1.0]]),
+    ("state", [[[1.0], 1.0]]),
+    ("state", [[True, 1.0]]),
+], ids=["past-number", "state-number", "pair-string", "pair-nested", "pair-bool"])
+def test_load_rejects_malformed_fields(tmp_path, field, value):
+    xs = ExtendedState(Signal(-1.0, 0.5, np.zeros((3, 1))), [1.0],
+                       Signal(0.0, 0.5, np.zeros((3, 1))))
+    env = save_extended_state(tmp_path, xs)
+    raw = json.loads(env.read_text())
+    raw[field] = value
+    env.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError):
+        load_extended_state(env)
 
 
 def test_step_dimension_mismatch():

@@ -215,31 +215,12 @@ def test_scan_nested_grid_monotone():
     assert fine.upper_bound == coarse.upper_bound
 
 
-def test_scan_thread_count_invariance(monkeypatch):
-    sys = build_system({"builtin": "heat", "modes": 16})
-    results = []
-    for n in ("1", "4"):
-        monkeypatch.setenv("WELLPOSED_THREADS", n)
-        results.append(m13_sup_scan(sys, 50.0, 9000).grid_sup)
-    assert results[0] == results[1]
-
-
 def test_scan_rejects_bad_grid():
     sys = build_system(_ONE_MODE)
     with pytest.raises(DomainError):
         m13_sup_scan(sys, 0.0, 10)
     with pytest.raises(DomainError):
         m13_sup_scan(sys, 1.0, 1)
-
-
-def test_scan_rejects_bad_thread_env(monkeypatch):
-    sys = build_system(_ONE_MODE)
-    monkeypatch.setenv("WELLPOSED_THREADS", "many")
-    with pytest.raises(DomainError):
-        m13_sup_scan(sys, 1.0, 4)
-    monkeypatch.setenv("WELLPOSED_THREADS", "-2")
-    with pytest.raises(DomainError):
-        m13_sup_scan(sys, 1.0, 4)
 
 
 def test_heat_tail_consistency():
