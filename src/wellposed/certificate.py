@@ -18,7 +18,7 @@ import numpy as np
 from .admissibility import AdmissibilityReport, admissibility_report
 from .errors import DomainError, PreconditionError
 from .heat import _SPECTRUM_TOL
-from .laplace import _QUAD_SAFETY, ResolventCheck, verify_resolvent_entries
+from .laplace import _QUAD_SAFETY, ResolventCheck, _check_grid, verify_resolvent_entries
 from .signals import _GRID_REL_TOL, _PHI_SERIES_SWITCH, Signal
 from .system import (
     _SCAN_UPPER_SLACK,
@@ -167,7 +167,8 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     """
     if not lambda_probes:
         raise DomainError("at least one probe frequency is required")
-    for name, value in (("dt", dt), ("t_max", t_max)):
+    _check_grid(sys, t_max, dt)
+    for name, value in (("t0", t0), ("gamma_max", gamma_max)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     if not (math.isfinite(p) and p >= 1):

@@ -86,12 +86,9 @@ def _run_simulate(args) -> int:
     system = _load_system(args)
     t, dt = args.t, args.dt
     window = t if args.window is None else args.window
-    if not t > 0:
-        raise _UsageError(f"--t must be > 0, got {t}")
-    if not dt > 0:
-        raise _UsageError(f"--dt must be > 0, got {dt}")
-    if not window > 0:
-        raise _UsageError(f"--window must be > 0, got {window}")
+    for flag, value in (("--t", t), ("--dt", dt), ("--window", window)):
+        if not (math.isfinite(value) and value > 0):
+            raise _UsageError(f"{flag} must be finite and > 0, got {value}")
 
     steps_w = max(1, int(round(window / dt)))
     if args.input is not None:

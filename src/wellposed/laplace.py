@@ -33,6 +33,9 @@ _QUAD_SAFETY = 2.0
 # offsets s at which r12 and r13 observe the output blocks
 _S_VALUES = (0.0, -0.5, -1.0)
 
+# dt steps spanned by the fine initial layer of r12's free output on stiff spectra
+_LAYER_STEPS = 24
+
 
 @dataclass(frozen=True)
 class EntryResidual:
@@ -91,9 +94,7 @@ def laplace_transform(sig: Signal, lam: complex,
     weights = segment_weights(sig.samples, sig.dt, phi1(w), phi2(w))
     factors = np.exp(-lam * sig.times()[1:])
     value = np.sum(factors[:, None] * weights, axis=0)
-    if tail is None:
-        return value, 0.0
-    return value, _tail_bound(lam, sig.end, omega_t, amp_t)
+    return value, 0.0 if tail is None else _tail_bound(lam, sig.end, omega_t, amp_t)
 
 
 def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
@@ -101,47 +102,69 @@ def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
     return float(np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
 
 
-def _free_output_transform(alpha: np.ndarray, c: np.ndarray, x: np.ndarray,
-                           s: float, t_max: float, dt: float, lam: complex,
-                           omega: float, amp: float
-                           ) -> tuple[np.ndarray, float, float]:
-    """Transform of t -> C e^(A (t+s)) x over [-s, t_max] with budgets.
+def _free_output(alpha: np.ndarray, c: np.ndarray, x: np.ndarray, t_max: float,
+                 dt: float) -> list[tuple[float, float, np.ndarray]]:
+    """Samples of tau -> C e^(A tau) x on [0, t_max] as pieces (tau0, h, y).
 
     Modes stiffer than the grid would defeat the second-difference error
-    estimate, so the initial layer is integrated on a fine sub-grid sized so
-    that past the splice every mode is either grid-resolved (|Re a| dt <= 1/2)
-    or damped below e^(-12) of its initial amplitude.
+    estimate, so the initial layer [0, 24 dt] is sampled on a fine sub-grid
+    sized so that past it every mode is either grid-resolved (|Re a| dt <= 1/2)
+    or damped below e^(-12) of its initial amplitude. The rest steps by dt.
     """
     stiff = float(np.max(-alpha.real))
-    horizon = t_max + s
-    pieces: list[tuple[float, float, int]] = []
-    if stiff * dt > 0.5:
-        t_split = min(24.0 * dt, horizon)
-        n1 = max(1, int(math.ceil(t_split * 4.0 * stiff)))
-        pieces.append((-s, t_split / n1, n1))
-        if t_split < horizon * (1.0 - 1e-12):
-            n2 = max(1, int(round((horizon - t_split) / dt)))
-            pieces.append((-s + t_split, (horizon - t_split) / n2, n2))
-    else:
-        n = max(1, int(round(horizon / dt)))
-        pieces.append((-s, horizon / n, n))
-    value = np.zeros(c.shape[0], dtype=complex)
-    quad = 0.0
-    tail = 0.0
-    for i, (t0, h, n) in enumerate(pieces):
-        grid = t0 + h * np.arange(n + 1)
+    k0 = _LAYER_STEPS if stiff * dt > 0.5 else 0
+    t_split = k0 * dt
+    grids = [(t_split, dt, t_split + dt * np.arange(int(round(t_max / dt)) - k0 + 1))]
+    if k0:
+        n1 = int(math.ceil(t_split * 4.0 * stiff))
+        grids.insert(0, (0.0, t_split / n1, t_split / n1 * np.arange(n1 + 1)))
+    pieces = []
+    for tau0, h, tau in grids:
         # only the K outputs are stored; the (rows, N) modes live one block at a time
-        y = np.empty((n + 1, c.shape[0]), dtype=complex)
-        for a, b in row_blocks(n + 1, alpha.shape[0]):
-            y[a:b] = (np.exp(np.outer(grid[a:b] + s, alpha)) * x) @ c.T
-        last = i == len(pieces) - 1
-        piece_tail = (omega, amp) if last else None
-        v, tb = laplace_transform(Signal(t0, h, y), lam, piece_tail)
-        value += v
-        quad += _quad_budget(y, grid, h, lam)
-        if last:
-            tail = tb
-    return value, quad, tail
+        y = np.empty((tau.size, c.shape[0]), dtype=complex)
+        for a, b in row_blocks(tau.size, alpha.shape[0]):
+            y[a:b] = (np.exp(np.outer(tau[a:b], alpha)) * x) @ c.T
+        pieces.append((tau0, h, y))
+    return pieces
+
+
+def _offset_entry(name: str, pieces: list[tuple[float, float, np.ndarray]],
+                  closed: np.ndarray, amps: list[float], lam: complex,
+                  omega: float, t_max: float, dt: float) -> EntryResidual:
+    """Residual and budgets of a block of tau = t + s, sampled as ``pieces`` on
+    [0, t_max] as _free_output returns them, against e^(lam s) closed at each
+    offset s in _S_VALUES. Offset s reads the last, dt-grid piece up to
+    round((t_max + s)/dt) dt, and amps[i] is the tail envelope past it."""
+    *layer, (tau_last, _, y_last) = pieces
+    k0 = int(round(tau_last / dt))
+    rows = []
+    for s, amp in zip(_S_VALUES, amps):
+        runs = layer + [(tau_last, dt, y_last[:int(round((t_max + s) / dt)) - k0 + 1])]
+        value, qb = np.zeros(closed.shape, dtype=complex), 0.0
+        for i, (tau0, h, y) in enumerate(runs):
+            envelope = (omega, amp) if i == len(runs) - 1 else None
+            v, tb = laplace_transform(Signal(tau0 - s, h, y), lam, envelope)
+            value += v
+            qb += _quad_budget(y, tau0 - s + h * np.arange(y.shape[0]), h, lam)
+        rows.append((float(np.max(np.abs(value - np.exp(lam * s) * closed))), qb, tb))
+    residual, quad, tail = (max(col) for col in zip(*rows))
+    return EntryResidual(name, residual, quad, tail, all(r <= q + t for r, q, t in rows))
+
+
+def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
+    """Return the shortest offset horizon t_max - 1, or raise DomainError if it
+    or dt is not finite and positive, or if the spectrum is stiffer than the
+    grid and the horizon cannot hold _free_output's layer [0, 24 dt]."""
+    for label, value in (("dt", dt), ("t_max", t_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{label} must be finite and > 0, got {value}")
+    horizon = t_max + min(_S_VALUES)
+    if not horizon > 0:
+        raise DomainError(f"t_max must exceed {-min(_S_VALUES)}, got {t_max}")
+    if float(np.max(-sys.gen.eigenvalues.real)) * dt > 0.5 and horizon < _LAYER_STEPS * dt:
+        raise DomainError(f"dt = {dt} is too coarse for this stiff spectrum: its initial "
+                          f"layer {_LAYER_STEPS} dt must fit in t_max - 1 = {horizon}")
+    return horizon
 
 
 def _second_differences(samples: np.ndarray, grid: np.ndarray, lam: complex
@@ -181,32 +204,25 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
          e^(lam s) (C R(lam, A) B u_hat(lam) + D u_hat(lam)).
 
     The input keeps its support inside the sampled horizon so the exponential
-    tail envelopes stay valid.
+    tail envelopes stay valid. r12 and r13 depend on tau = t + s only, so each
+    is sampled once in tau and read at every offset by prefix.
 
-    No (steps, N) array is held. The forced trajectory comes from
-    exp_conv_blocks one block of rows at a time, and each block is folded in
-    before the next is formed: its K output rows go into the one (steps + 1, K)
-    array that r13 reads by prefix; r23's Laplace terms are added to a running
-    N-vector that seeds the block's axis-0 sum, so the total is the same
-    row-by-row sum as over the whole trajectory (numpy sums axis 0 row by row
-    when N > 1; a single mode's column is summed pairwise within each block and
-    can differ in the last bits); each interior row's ||d2|| * decay goes into
-    one (steps - 1) vector that is summed once at the end; and only the rows
-    the tail envelopes need are kept. The free outputs of r12, including the
-    stiff fine sub-grid, are formed in row blocks too. The drive u B^T is formed
-    over the input's support only, since past it g_k is zero.
+    No (steps, N) array is held: the forced trajectory comes from
+    exp_conv_blocks one block of rows at a time. Each block adds its K output
+    rows to r13's (steps + 1, K) samples, seeds r23's axis-0 sum with the
+    running N-vector (the same row-by-row sum as over the whole trajectory when
+    N > 1; one mode's column is summed pairwise per block and can differ in the
+    last bits), stores each interior row's ||d2|| * decay for one sum at the
+    end, and keeps only the rows the tail envelopes need. The drive u B^T is
+    formed over the input's support only, since past it g_k is zero.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise DomainError(f"probe frequency needs Re(lambda) > 0, got {lam}")
-    if not t_max > 0 or not dt > 0:
-        raise DomainError("t_max and dt must be positive")
+    horizon = _check_grid(sys, t_max, dt)
     x = as_state(x, sys.n_modes)
     if u.width != sys.n_inputs:
         raise DimensionError(f"input has {u.width} channels, system expects {sys.n_inputs}")
-    horizon = t_max + min(_S_VALUES)
-    if not horizon > 0:
-        raise DomainError(f"t_max must exceed {-min(_S_VALUES)}, got {t_max}")
     if u.t0 < -_GRID_REL_TOL or u.end > horizon + _GRID_REL_TOL:
         raise DomainError(
             f"input support must lie inside [0, {horizon}] so decay envelopes apply")
@@ -223,17 +239,12 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     u_hat, _ = laplace_transform(u_fine, lam)
     state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
 
-    # r12: free evolution observed at fixed offsets
-    res12 = quad12 = tail12 = 0.0
-    ok12 = True
-    closed_state = c @ resolvent_apply(sys.gen, lam, x)
+    # r12: free evolution at fixed offsets, freed before the forced trajectory streams
     amp12 = float(np.sum(col_norm * np.abs(x)))
-    for s in _S_VALUES:
-        num, qb, tb = _free_output_transform(alpha, c, x, s, t_max, dt, lam,
-                                             omega, amp12 * np.exp(omega * s))
-        residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_state)))
-        res12, quad12, tail12 = max(res12, residual), max(quad12, qb), max(tail12, tb)
-        ok12 = ok12 and residual <= qb + tb
+    entry12 = _offset_entry("r12", _free_output(alpha, c, x, t_max, dt),
+                            c @ resolvent_apply(sys.gen, lam, x),
+                            [amp12 * np.exp(omega * s) for s in _S_VALUES],
+                            lam, omega, t_max, dt)
 
     # r23 and r13: one forced trajectory, streamed in row blocks
     steps = int(round(t_max / dt))
@@ -279,25 +290,12 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     res23 = float(np.linalg.norm(num23 - state_hat))
     # _quad_budget's estimate, with the norm over modes in place of the worst component
     quad23 = _QUAD_SAFETY * (dt / 12.0) * float(np.sum(curv23))
-    ok23 = res23 <= quad23 + tail23
 
     # r13: forced output block at fixed offsets
-    res13 = quad13 = tail13 = 0.0
-    ok13 = True
-    closed_out = c @ state_hat + sys.feedthrough @ u_hat
-    for s, steps_s in zip(_S_VALUES, r13_steps):
-        grid = -s + dt * np.arange(steps_s + 1)
-        y_s = y[:steps_s + 1]
-        amp13 = float(np.sum(col_norm * np.abs(ends[steps_s]))) * np.exp(-omega * grid[-1])
-        num, tb = laplace_transform(Signal(-s, dt, y_s), lam, (omega, amp13))
-        residual = float(np.max(np.abs(num - np.exp(lam * s) * closed_out)))
-        qb = _quad_budget(y_s, grid, dt, lam)
-        res13, quad13, tail13 = max(res13, residual), max(quad13, qb), max(tail13, tb)
-        ok13 = ok13 and residual <= qb + tb
+    amps13 = [float(np.sum(col_norm * np.abs(ends[k]))) * np.exp(-omega * (-s + dt * k))
+              for s, k in zip(_S_VALUES, r13_steps)]
+    entry13 = _offset_entry("r13", [(0.0, dt, y)], c @ state_hat + sys.feedthrough @ u_hat,
+                            amps13, lam, omega, t_max, dt)
 
-    entries = (
-        EntryResidual("r12", res12, quad12, tail12, ok12),
-        EntryResidual("r23", res23, quad23, tail23, ok23),
-        EntryResidual("r13", res13, quad13, tail13, ok13),
-    )
-    return ResolventCheck(lam, float(t_max), float(dt), _S_VALUES, entries)
+    entry23 = EntryResidual("r23", res23, quad23, tail23, res23 <= quad23 + tail23)
+    return ResolventCheck(lam, float(t_max), float(dt), _S_VALUES, (entry12, entry23, entry13))

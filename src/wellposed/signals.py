@@ -374,6 +374,8 @@ def read_signal_csv(path) -> Signal:
         raise SchemaError(f"{path}: need at least 2 rows to define the grid")
     arr = np.asarray(data, dtype=float)
     times = arr[:, 0]
+    if not np.all(np.isfinite(times)):
+        raise SchemaError(f"{path}: times must be finite")
     steps = np.diff(times)
     if np.any(steps <= 0):
         raise SchemaError(f"{path}: times must be strictly increasing")

@@ -128,13 +128,17 @@ class TestCertifyCommand:
         assert "probe" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "nan"],
-                                       ["--p", "nan", "--exploratory"]])
+                                       ["--p", "nan", "--exploratory"],
+                                       ["--gamma-max", "inf"], ["--t0", "inf"],
+                                       ["--dt", "2"]])
     def test_bad_parameters_fail_before_any_stage(self, tmp_path, capsys, flags):
         rc = main(["certify", "--builtin", "heat", "--modes", "4",
                    "--out", str(tmp_path)] + flags)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        # the message names the parameter at fault
+        assert flags[0].lstrip("-").replace("-", "_") in err
         assert not (tmp_path / "certificate.json").exists()
 
     def test_system_source_is_exclusive(self, tmp_path, capsys):
@@ -239,6 +243,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--system", spec, "--t", "1", "--dt", "-0.1",
                      "--out", str(tmp_path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--t", "--dt", "--window"])
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flag):
+        spec = write_desc(tmp_path / "sys.json", SCALAR_DESC)
+        values = {"--t": "1", "--dt": "0.1", "--window": "1", flag: "inf"}
+        args = [item for pair in values.items() for item in pair]
+        assert main(["simulate", "--system", spec, "--out", str(tmp_path)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} must be finite") and "Traceback" not in err
 
 
 class TestEntryPoints:

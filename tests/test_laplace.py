@@ -215,12 +215,42 @@ class TestVerifyResolventEntries:
             verify_resolvent_entries(sys, -1.0, [1.0], u, t_max=10.0, dt=1e-2)
         with pytest.raises(DomainError):
             verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=0.8, dt=1e-2)
+        with pytest.raises(DomainError):
+            verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=math.inf, dt=1e-2)
+        with pytest.raises(DomainError):
+            verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=10.0, dt=math.inf)
         late = Signal(5.0, 1.0, np.ones((7, 1)))
         with pytest.raises(DomainError):
             verify_resolvent_entries(sys, 1.0, [1.0], late, t_max=10.0, dt=1e-2)
         wide = Signal(0.0, 0.5, np.ones((3, 2)))
         with pytest.raises(DimensionError):
             verify_resolvent_entries(sys, 1.0, [1.0], wide, t_max=10.0, dt=1e-2)
+
+    @pytest.mark.parametrize("n_modes, rows", [(8, [1001]), (16, [218, 977])])
+    def test_free_output_sampled_once(self, monkeypatch, n_modes, rows):
+        # every offset reads a prefix of one tau grid: heat 8 has no stiff
+        # layer at dt = 1e-2 (50 dt <= 1/2), heat 16 has one of 217 steps
+        real = laplace.row_blocks
+        counted = []
+
+        def counting(n_rows, width):
+            counted.append(n_rows)
+            return real(n_rows, width)
+
+        monkeypatch.setattr(laplace, "row_blocks", counting)
+        sys = build_heat_system(HeatConfig(n_modes=n_modes))
+        check = verify_resolvent_entries(sys, 1.0, np.ones(n_modes) / 4.0,
+                                         poly_input(1e-2, width=2),
+                                         t_max=10.0, dt=1e-2)
+        assert check.passed
+        assert counted == rows
+
+    def test_stiff_layer_must_fit_shortest_horizon(self):
+        # 226 * 0.5 > 1/2 asks for a layer of 24 dt = 12 > t_max - 1 = 9
+        sys = build_heat_system(HeatConfig(n_modes=16))
+        with pytest.raises(DomainError, match="dt"):
+            verify_resolvent_entries(sys, 1.0, np.ones(16) / 4.0,
+                                     poly_input(0.5, width=2), t_max=10.0, dt=0.5)
 
 
 def _reference_quad_budget(samples, grid, dt, lam, reduce):

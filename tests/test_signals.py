@@ -536,3 +536,10 @@ def test_csv_rejects_single_row(tmp_path):
     path.write_text("time,c0\n0.0,1.0\n")
     with pytest.raises(SchemaError):
         read_signal_csv(path)
+
+
+def test_csv_rejects_non_finite_time(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,c0\n0.0,1.0\ninf,1.0\n")
+    with pytest.raises(SchemaError):
+        read_signal_csv(path)
