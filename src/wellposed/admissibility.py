@@ -63,6 +63,8 @@ def _check_window(sys: SpectralSystem, t0: float) -> None:
 def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
     """K_ij = int_0^t0 e^(w_ij s) ds with w_ij = conj(alpha_i) + alpha_j, the
     observation Gram's kernel; the control Gram's is exactly its conjugate.
+    Returned as its Hermitian part (K + K^H)/2, so each Gram, its product
+    with an exactly Hermitian outer product, is exactly Hermitian in place.
 
     K_ij = (conj(e_i) e_j - 1)/w_ij from the N exponentials e = e^(alpha t0),
     so no N x N exponential is formed, except where the numerator
@@ -79,6 +81,8 @@ def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
     if np.any(small):
         kernel[small] = np.expm1(w[small] * t0)
     kernel /= w
+    kernel += np.conj(kernel.T, out=w)
+    kernel *= 0.5
     return kernel
 
 
@@ -114,8 +118,7 @@ def _top_eigenvalue(gram: np.ndarray) -> float:
 
 
 def _gram(outer: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, float]:
-    gram = outer * kernel
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = np.multiply(outer, kernel, out=outer)
     return gram, max(_top_eigenvalue(gram), 0.0)
 
 

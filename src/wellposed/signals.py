@@ -373,9 +373,9 @@ def read_signal_csv(path) -> Signal:
     if len(data) < 2:
         raise SchemaError(f"{path}: need at least 2 rows to define the grid")
     arr = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}: times and values must be finite")
     times = arr[:, 0]
-    if not np.all(np.isfinite(times)):
-        raise SchemaError(f"{path}: times must be finite")
     steps = np.diff(times)
     if np.any(steps <= 0):
         raise SchemaError(f"{path}: times must be strictly increasing")

@@ -5,7 +5,8 @@ The state map is integrated by parts and shares no convolution kernel with
 smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
 Dirichlet kernels are closed forms that the heat system's control columns
 must reproduce mode by mode. The Gram constants are recomputed with a kernel
-per Gram and the full dense spectrum.
+per Gram and the full dense spectrum. The m13 symbol is contracted by einsum
+over the whole resolvent, without the scan's mode-pair matrix.
 """
 
 import cmath
@@ -133,3 +134,11 @@ def dense_gram_constants(sys, t0):
     m_ctl = math.sqrt(top(sys.control @ sys.control.conj().T,
                           alpha[:, None] + np.conj(alpha)[None, :]))
     return m_obs, m_ctl
+
+
+def m13_einsum(sys, gammas):
+    """m13(gamma) = C R(i gamma, A_{-1}) B as one einsum over the (G, N)
+    resolvent, shape (G, K, M)."""
+    gammas = np.asarray(gammas, dtype=float)
+    res = 1.0 / (1j * gammas[:, None] - sys.gen.eigenvalues[None, :])
+    return np.einsum("kn,gn,nm->gkm", sys.observation, res, sys.control, optimize=True)

@@ -1,6 +1,7 @@
 """Gram-matrix admissibility constants and the global constant formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,3 +329,29 @@ class TestTopEigenvalue:
         assert report.m_obs == observation_gram(sys, 1.0)[1]
         assert report.m_ctl == control_gram(sys, 1.0)[1]
 
+
+class TestKernelSymmetry:
+    """The kernel is symmetrised once, and every Gram inherits its exact symmetry."""
+
+    def test_complex_spectrum_grams_exactly_hermitian(self):
+        sys = random_system(np.random.default_rng(97), 300, n_inputs=3, n_outputs=3)
+        kernel = _gram_kernel(sys.gen.eigenvalues, 1.0)
+        assert np.array_equal(kernel, kernel.conj().T)
+        for gram, _ in (observation_gram(sys, 1.0), control_gram(sys, 1.0)):
+            assert np.array_equal(gram, gram.conj().T)
+
+    def test_report_memory_bounded(self):
+        # the Grams are formed in place on their outer products: the kernel,
+        # one Gram and the Cholesky guard's copy make about 3.3 N^2 complex
+        # values. Symmetrising each Gram in fresh arrays peaks at about 5.3.
+        n = 1024
+        sys = random_system(np.random.default_rng(83), n, n_inputs=3, n_outputs=3)
+        scan = m13_sup_scan(sys, 50.0, 101)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            admissibility_report(sys, 1.0, scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * n * n * 16

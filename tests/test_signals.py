@@ -543,3 +543,13 @@ def test_csv_rejects_non_finite_time(tmp_path):
     path.write_text("time,c0\n0.0,1.0\ninf,1.0\n")
     with pytest.raises(SchemaError):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("header", ["c0", "c0.re,c0.im"])
+def test_csv_rejects_non_finite_value_naming_the_file(tmp_path, value, header):
+    path = tmp_path / "bad.csv"
+    pad = ",0.0" if "," in header else ""
+    path.write_text(f"time,{header}\n0.0,1.0{pad}\n0.1,{value}{pad}\n")
+    with pytest.raises(SchemaError, match="bad.csv: times and values must be finite"):
+        read_signal_csv(path)

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import wellposed.system
+from cross_oracles import m13_einsum
 from wellposed.errors import (
     CertificateIncompleteError,
     DimensionError,
@@ -190,6 +193,51 @@ def test_m13_conjugate_symmetry_real_data():
         a = _m13(sys, [gamma])[0]
         b = _m13(sys, [-gamma])[0]
         np.testing.assert_allclose(b, np.conj(a), atol=1e-15)
+
+
+@pytest.mark.parametrize("sys", [
+    _random_system(n=40, m=2, k=3, seed=5),
+    build_system({"builtin": "heat", "modes": 64}),
+], ids=["random-K3-M2", "heat-K1-M2"])
+def test_m13_matches_einsum_oracle(sys):
+    gammas = np.linspace(-60.0, 60.0, 257)
+    got = _m13(sys, gammas)
+    want = m13_einsum(sys, gammas)
+    assert got.shape == want.shape == (gammas.size, sys.n_outputs, sys.n_inputs)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_scan_sup_independent_of_block_budget(monkeypatch):
+    # blocks of 2 and 3 rows, the default, and the whole grid in one block;
+    # every row of the GEMM rounds the same way in each, so the sup keeps
+    # its bits
+    sys = _random_system(n=48, m=2, k=3, seed=7)
+    n, steps = sys.n_modes, 1001
+    sups = []
+    for budget in (2 * n, 3 * n, wellposed.system._SCAN_ELEMENTS, steps * n):
+        monkeypatch.setattr(wellposed.system, "_SCAN_ELEMENTS", budget)
+        sups.append(m13_sup_scan(sys, 9.0, steps).grid_sup)
+    assert sups[0] > 0.0
+    assert all(sup == sups[0] for sup in sups), sups
+
+
+def test_scan_memory_does_not_grow_with_steps():
+    # at 1024 modes one block is 128 rows, 2 MB; a fixed 2048-row chunk
+    # would hold 32 MB of resolvent alone
+    sys = _random_system(n=1024, m=3, k=3, seed=13)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for steps in (4001, 40001):
+            tracemalloc.reset_peak()
+            m13_sup_scan(sys, 50.0, steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 8 * 40001
+    # only the grid of floats itself grows with steps
+    assert peaks[40001] < peaks[4001] + grid_bytes
+    assert peaks[40001] < 2 * 16 * wellposed.system._SCAN_ELEMENTS + grid_bytes
 
 
 def test_scan_one_mode_sandwich():
