@@ -278,8 +278,14 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
     Evaluated by the exact one-step recurrence x_{k+1} = e^(alpha dt) x_k + g_k,
     stepped in time and vectorised over modes. Each block forms its own segment
     integrals g_k and carries its last row into the next, so no
-    (n_steps + 1, N) array is held. Requires sig.t0 == 0; the arguments are
-    checked on the call, before the first block.
+    (n_steps + 1, N) array is held. Past the row after sig's last nonzero
+    sample every g_k is zero: those free rows x_{k+1} = e^(alpha dt) x_k form
+    no g_k and take no Python step, but one multiply.accumulate per block, in
+    place. They equal the stepped rows bit for bit on a real spectrum. On any
+    spectrum the rows keep their bits whatever the block layout and whether
+    or not sig carries zero samples past its last nonzero one.
+    Requires sig.t0 == 0; the arguments are checked on the call, before the
+    first block.
     """
     alpha = np.asarray(alpha, dtype=complex)
     _paired(alpha, sig)
@@ -290,26 +296,60 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
     return _conv_blocks(alpha, sig, n_steps)
 
 
+def _decay_step(x: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    # x * decay as a 3-row accumulate forms it. On numpy 2.4.6 an accumulate
+    # takes its scalar complex product over 3 rows or more but its vector
+    # product, operands swapped, over exactly 2, and the two differ in the last
+    # bit on complex spectra. numpy does not promise this choice of inner loop;
+    # test_conv_blocks_match_single_block[{1,2}-complex] fails if it changes.
+    return np.multiply.accumulate([x, decay, decay])[1]
+
+
+def _step_rows(rows: list[np.ndarray], decay: np.ndarray) -> None:
+    # x_k = decay x_{k-1} + g_{k-1} down rows that hold g_{k-1}; a function of
+    # its own, so no row view outlives the call and keeps its block alive
+    for prev, cur in zip(rows, rows[1:]):
+        cur += decay * prev
+
+
 def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
     w = alpha * sig.dt
     p1 = phi1(w)
     p2 = phi2(w)
     decay = np.exp(w)
-    nseg = min(n_steps, sig.n_samples - 1)
+    # rows up to `forced`, the row after the last nonzero sample, carry a g_k;
+    # every later row is free decay. Taken from the samples, not their count,
+    # so a zero tail gives the bits of the trimmed drive: on complex spectra a
+    # stepped row 0 + decay x_k and an accumulated one differ in the last bit.
+    live = np.flatnonzero(np.any(sig.samples[:n_steps + 1] != 0.0, axis=1))
+    forced = min(int(live[-1]) + 1, sig.n_samples - 1) if live.size else 0
     carry = None
     for k0, k1 in row_blocks(n_steps + 1, alpha.shape[0]):
         block = np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
         # row k holds g_{k-1} until the step below turns it into x_k
-        lo, hi = max(k0, 1), min(k1, nseg + 1)
+        lo, hi = max(k0, 1), min(k1, forced + 1)
         if hi > lo:
             block[lo - k0:hi - k0] = segment_weights(sig.samples[lo - 1:hi], sig.dt, p1, p2)
-        rows = list(block)
-        if k0 > 1:
-            rows[0] += decay * carry
-        # x_0 = 0 and x_1 = g_0 take no step
-        start = 1 if k0 == 0 else 0
-        for prev, cur in zip(rows[start:], rows[start + 1:]):
-            cur += decay * prev
+        if hi > k0:
+            if k0 > 1:
+                block[0] += decay * carry
+            # x_0 = 0 and x_1 = g_0 take no step
+            _step_rows(list(block[1 if k0 == 0 else 0:hi - k0]), decay)
+            free = block[hi - k0 - 1:]
+        else:
+            block[0] = _decay_step(carry, decay)
+            free = block
+        # the free rows, each from the one before, seeded by the row above them;
+        # a 2-row accumulate would round differently (see _decay_step)
+        if free.shape[0] == 2:
+            free[1] = _decay_step(free[0], decay)
+        elif free.shape[0] > 2:
+            free[1:] = decay
+            np.multiply.accumulate(free, axis=0, out=free)
+        # a product that rounds to zero may be -0.0, where a step, 0 + decay
+        # x_k, gives +0.0; adding 0.0 keeps the stepped rows' bits
+        formed = block[max(hi - k0, 0):]
+        np.add(formed, 0.0, out=formed)
         carry = block[-1].copy()
         yield block
 

@@ -245,6 +245,56 @@ class TestVerifyResolventEntries:
         assert check.passed
         assert counted == rows
 
+    @pytest.mark.parametrize("case", ["heat16", "complex"])
+    def test_free_output_table_matches_direct_exponentials(self, case):
+        # heat 16 at dt = 1e-2 has a stiff layer of 217 fine steps before its dt grid
+        sys = build_heat_system(HeatConfig(n_modes=16)) if case == "heat16" \
+            else _random_complex_system()
+        alpha, c = sys.gen.eigenvalues, sys.observation
+        x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
+        pieces = laplace._free_output(alpha, c, x, 10.0, 1e-2)
+        assert [y.shape[0] for _, _, y in pieces] == ([218, 977] if case == "heat16" else [1001])
+        for tau0, h, y in pieces:
+            tau = tau0 + h * np.arange(y.shape[0])
+            want = (np.exp(np.outer(tau, alpha)) * x) @ c.T
+            np.testing.assert_allclose(y, want, rtol=1e-14, atol=0.0)
+
+    def test_stuck_subnormals_read_as_zero(self, monkeypatch):
+        # e^(alpha dt) > 1/2 for alpha = -100 and -300 at dt = 1e-3, so round
+        # to nearest holds their free decay at the smallest subnormal, 4.9e-324
+        gen = DiagonalGenerator(np.array([-100.0, -300.0, -2.0], dtype=complex),
+                                k=1.0, omega=-2.0)
+        sys = SpectralSystem(gen,
+                             np.array([[1.0], [0.5], [0.3]], dtype=complex),
+                             np.array([[1.0, 0.7, 0.2]], dtype=complex),
+                             np.zeros((1, 1), dtype=complex))
+        x, u, dt = [0.5, 0.3, 0.2], poly_input(1e-3), 1e-3
+
+        def subnormal_parts(arr):
+            parts = np.asarray(arr).view(float)
+            return int(np.count_nonzero((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+        # the public trajectory keeps them: 8744 parts here
+        drive = Signal(0.0, dt, resample(u, 0.0, dt, 10001).samples @ sys.control.T)
+        assert subnormal_parts(exp_conv_trajectory(sys.gen.eigenvalues, drive, 10000)) > 0
+
+        real = laplace.segment_weights
+        seen = []
+
+        def spy(v, *args):
+            seen.append(subnormal_parts(v))
+            return real(v, *args)
+
+        monkeypatch.setattr(laplace, "segment_weights", spy)
+        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=10.0, dt=dt)
+        assert seen and not any(seen)
+        want = _reference_check(sys, 1.0, x, u, 10.0, dt)
+        for entry, (name, residual, quad, tail, passed) in zip(check.entries, want):
+            assert entry.name == name and entry.passed == passed
+            np.testing.assert_allclose([entry.residual, entry.quad_budget, entry.tail_budget],
+                                       [residual, quad, tail], rtol=1e-13, atol=0.0,
+                                       err_msg=name)
+
     def test_stiff_layer_must_fit_shortest_horizon(self):
         # 226 * 0.5 > 1/2 asks for a layer of 24 dt = 12 > t_max - 1 = 9
         sys = build_heat_system(HeatConfig(n_modes=16))
@@ -399,3 +449,20 @@ def test_resolvent_check_memory_bounded():
         tracemalloc.stop()
     assert check.passed
     assert peak < 96e6
+
+
+def test_heat_check_memory_near_parent_peak():
+    # one certificate check on 64 heat modes over 40 001 steps holds a few
+    # row blocks of 1 MB at a time; one more block-sized buffer exceeds this
+    sys = build_heat_system(HeatConfig(n_modes=64))
+    x = _probe_state(sys.n_modes)
+    u = _probe_input(sys.n_inputs, 1e-3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 11.3e6

@@ -354,14 +354,28 @@ _SPECTRA = {
 }
 
 
+def _drive(rng, n_samples, width, n_live):
+    # random rows, zero from row n_live on
+    samples = rng.standard_normal((n_samples, width))
+    samples[n_live:] = 0.0
+    return Signal(0.0, 0.05, samples)
+
+
+# (n_samples, n_steps, n_live): a drive whose rows 12-20 are zero has free
+# rows inside its own grid, past the row after its last nonzero sample
+_LFILTER_CASES = [
+    *(pytest.param(n, k, n, id=f"{n}-{k}")
+      for n, k in [(21, 0), (21, 1), (21, 8), (21, 20), (21, 45), (1, 0), (1, 6)]),
+    *(pytest.param(21, k, 12, id=f"21-{k}-zero-from-12") for k in (11, 12, 13, 14, 45)),
+]
+
+
 @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
-@pytest.mark.parametrize("n_samples,n_steps", [
-    (21, 0), (21, 1), (21, 8), (21, 20), (21, 45), (1, 0), (1, 6),
-])
-def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps):
+@pytest.mark.parametrize("n_samples,n_steps,n_live", _LFILTER_CASES)
+def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps, n_live):
     alpha = _SPECTRA[spectrum]
     rng = np.random.default_rng(n_samples * 100 + n_steps)
-    sig = Signal(0.0, 0.05, rng.standard_normal((n_samples, alpha.shape[0])))
+    sig = _drive(rng, n_samples, alpha.shape[0], n_live)
     got = exp_conv_trajectory(alpha, sig, n_steps)
     want = _lfilter_trajectory(alpha, sig, n_steps)
     assert got.shape == want.shape == (n_steps + 1, alpha.shape[0])
@@ -370,6 +384,18 @@ def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps)
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spectrum", ["real", "stiff"])
+@pytest.mark.parametrize("n_live", [21, 12])
+def test_conv_trajectory_real_spectrum_keeps_every_bit(spectrum, n_live):
+    # free decay that underflows to zero must give +0.0, as the step
+    # 0 + e^(alpha dt) x_k does, so the bits match the sign of each zero too
+    alpha = _SPECTRA[spectrum]
+    sig = _drive(np.random.default_rng(1), 21, alpha.shape[0], n_live)
+    got = exp_conv_trajectory(alpha, sig, 45)
+    want = _lfilter_trajectory(alpha, sig, 45)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_rows,width", [(1, 4), (2, 4), (3, 1), (1000, 3), (10, 1 << 20)])
@@ -383,18 +409,45 @@ def test_row_blocks_cover_rows_with_two_row_minimum(n_rows, width):
 
 
 @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
-@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
-def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows):
+@pytest.mark.parametrize("block_rows,n_live", [
+    *(pytest.param(rows, 21, id=str(rows)) for rows in (1, 2, 3, 7)),
+    # with the drive zero from row 12 the last forced row is 12: blocks of 2
+    # and of 7 rows end one free row later, and blocks of 3 two rows later
+    *(pytest.param(rows, 12, id=f"{rows}-zero-from-12") for rows in (2, 3, 7)),
+])
+def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows, n_live):
     # the carried row makes the recurrence independent of where blocks break
     alpha = _SPECTRA[spectrum]
     rng = np.random.default_rng(block_rows)
-    sig = Signal(0.0, 0.05, rng.standard_normal((21, alpha.shape[0])))
+    sig = _drive(rng, 21, alpha.shape[0], n_live)
     whole = exp_conv_trajectory(alpha, sig, 45)
     monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * alpha.shape[0])
     blocks = list(exp_conv_blocks(alpha, sig, 45))
     assert len(blocks) == len(row_blocks(46, alpha.shape[0])) > 1
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
     np.testing.assert_array_equal(exp_conv_trajectory(alpha, sig, 45), whole)
+
+
+@pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
+def test_conv_trajectory_ignores_zero_tail_of_drive(monkeypatch, spectrum):
+    # a caller may trim the drive after its last nonzero sample or not: the
+    # rows past it are free decay either way and keep their bits
+    alpha = _SPECTRA[spectrum]
+    sig = _drive(np.random.default_rng(0), 21, alpha.shape[0], 12)
+    trimmed = Signal(0.0, sig.dt, sig.samples[:13])
+    real = signals.segment_weights
+    formed = []
+
+    def spy(v, *args):
+        formed.append(v.shape[0] - 1)
+        return real(v, *args)
+
+    monkeypatch.setattr(signals, "segment_weights", spy)
+    got = exp_conv_trajectory(alpha, sig, 45)
+    # g_11 holds v_11, the last nonzero sample; g_12..g_19 are zero and not formed
+    assert formed == [12]
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  exp_conv_trajectory(alpha, trimmed, 45).view(np.uint64))
 
 
 def test_conv_trajectory_one_block_is_not_copied(monkeypatch):
