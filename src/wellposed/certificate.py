@@ -9,6 +9,7 @@ passes and the exponent is 2, where symbol boundedness is decisive.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -165,12 +166,16 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     steps whose inputs are missing (no multiplier scan, hence no pair
     constant) are skipped, and each skip is itself recorded as a failure.
     """
-    if not lambda_probes:
-        raise DomainError("at least one probe frequency is required")
+    if not (lambda_probes and all(cmath.isfinite(lam) and complex(lam).real > 0
+                                  for lam in lambda_probes)):
+        raise DomainError("lambda_probes must hold one or more finite probes with "
+                          f"Re(lambda) > 0, got {lambda_probes}")
     _check_grid(sys, t_max, dt)
     for name, value in (("t0", t0), ("gamma_max", gamma_max)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and > 0, got {value}")
+    if not isinstance(gamma_steps, (int, np.integer)) or gamma_steps < 2:
+        raise DomainError(f"gamma_steps must be an integer >= 2, got {gamma_steps!r}")
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"p must be finite and >= 1, got {p}")
     failures: list[str] = []

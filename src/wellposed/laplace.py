@@ -36,10 +36,6 @@ _S_VALUES = (0.0, -0.5, -1.0)
 # dt steps spanned by the fine initial layer of r12's free output on stiff spectra
 _LAYER_STEPS = 24
 
-# the forced trajectory's parts below this are read as zero (see
-# verify_resolvent_entries)
-_TINY = np.finfo(float).tiny
-
 
 @dataclass(frozen=True)
 class EntryResidual:
@@ -225,14 +221,6 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     last bits), stores each interior row's ||d2|| * decay for one sum at the
     end, and keeps only the rows the tail envelopes need. The drive u B^T is
     formed over the input's support only, since past it g_k is zero.
-
-    Each block's real and imaginary parts below the smallest normal float are
-    read as zero before use. Where e^(alpha dt) > 1/2, rounding to nearest
-    holds a mode's free decay at the smallest subnormal, 4.9e-324, for the
-    rest of the horizon while the true value keeps falling far below it; every
-    pass over such rows would run on the processor's slow subnormal path. No
-    part moves by more than 2.3e-308, and exp_conv_trajectory still returns
-    them.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -281,8 +269,6 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     back = np.empty((0, sys.n_modes), dtype=complex)
     k0 = 0
     for block in exp_conv_blocks(alpha, drive, steps):
-        parts = block.view(float)
-        np.putmask(parts, np.abs(parts) < _TINY, 0.0)
         k1 = k0 + block.shape[0]
         y[k0:k1] += block @ c.T
         for k in r13_steps + [steps]:

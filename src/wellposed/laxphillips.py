@@ -67,6 +67,13 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
     as_state(xs.state, sys.n_modes)
 
 
+def _check_times(*times) -> None:
+    for t in times:
+        ts = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(ts) & (ts >= 0)):
+            raise DomainError(f"time must be finite and >= 0, got {t}")
+
+
 def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:
     # v_n(r) = sum_j b_nj u_j(r), still on u's grid, over the samples that a
     # convolution up to t reaches
@@ -79,8 +86,7 @@ def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:
 def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
     """Past-output block of the free evolution: s -> c . (e^(alpha (t+s)) x)
     sampled on [-t, 0] with target step dt; identically zero for t = 0."""
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_times(t)
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt}")
     xv = as_state(x, sys.n_modes)
@@ -99,10 +105,8 @@ def control_to_state(sys: SpectralSystem, t, u: Signal) -> np.ndarray:
     t is one time or a 1-d array of them; returns shape (N,) or one row per
     time, as exp_conv_final does.
     """
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise DomainError(f"time must be >= 0, got {np.min(ts)}")
-    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, np.max(ts, initial=0.0)), t)
+    _check_times(t)
+    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, np.max(t, initial=0.0)), t)
 
 
 def input_output_map(sys: SpectralSystem, t: float, u: Signal,
@@ -114,8 +118,7 @@ def input_output_map(sys: SpectralSystem, t: float, u: Signal,
     with the convolution evaluated by the exact one-step recurrence on the
     sample grid.
     """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_times(t)
     if u.width != sys.n_inputs:
         raise DimensionError(f"input has width {u.width}, expected {sys.n_inputs}")
     if dt is None:
@@ -143,8 +146,7 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
     The past window length is fixed; a step larger than the window cannot be
     represented and raises a horizon error.
     """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_times(t)
     _check_dims(sys, xs)
     if t == 0:
         return xs
@@ -188,8 +190,7 @@ def semigroup_law_residual(sys: SpectralSystem, t: float, s: float,
                            xs: ExtendedState) -> float:
     """Product-norm distance between the one-shot step by t+s and the two-step
     composition; the product norm is the max of the three component norms."""
-    if t < 0 or s < 0:
-        raise DomainError(f"times must be >= 0, got t = {t}, s = {s}")
+    _check_times(t, s)
     one = step_extended_state(sys, t + s, xs)
     two = step_extended_state(sys, t, step_extended_state(sys, s, xs))
 

@@ -223,8 +223,9 @@ def exp_conv_final(alpha, sig: Signal, t) -> np.ndarray:
     at the knot at or below its clipped limit, decays it to T and adds its
     partial segments before the first knot and after that knot, formed
     _ANCHOR_ROWS anchors at a time. An anchor within _GRID_REL_TOL * dt of a
-    knot is taken at the knot. Returns shape (N,) for a scalar t and
-    (len(t), N) for a 1-d array.
+    knot is taken at the knot. Parts below 2.2e-308 read as +0.0, as in
+    exp_conv_blocks, since decay to an anchor past the grid can reach them.
+    Returns shape (N,) for a scalar t and (len(t), N) for a 1-d array.
     """
     alpha = np.asarray(alpha, dtype=complex)
     _paired(alpha, sig)
@@ -268,6 +269,7 @@ def exp_conv_final(alpha, sig: Signal, t) -> np.ndarray:
         i = c[tail[c]]
         out[i] += exp_segment_integral(alpha, T[i, None], r_kb[i, None], b[i, None],
                                        sig.samples[kb[i]], values_at(sig, b[i]))
+    _floor(out)
     return out if ts.ndim else out[0]
 
 
@@ -281,9 +283,19 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
     (n_steps + 1, N) array is held. Past the row after sig's last nonzero
     sample every g_k is zero: those free rows x_{k+1} = e^(alpha dt) x_k form
     no g_k and take no Python step, but one multiply.accumulate per block, in
-    place. They equal the stepped rows bit for bit on a real spectrum. On any
-    spectrum the rows keep their bits whatever the block layout and whether
-    or not sig carries zero samples past its last nonzero one.
+    place. They equal the stepped rows bit for bit on a real spectrum, and
+    the rows keep their bits whatever zero tail sig carries.
+
+    Every real or imaginary part below the smallest normal float, 2.2e-308,
+    is returned as +0.0, and the next block continues from the floored row.
+    Where e^(alpha dt) > 1/2, rounding holds a free decay at the smallest
+    subnormal, 4.9e-324, while its true value falls far below it, so zero is
+    the nearer value, and no later pass runs on the slow subnormal path.
+    Layouts can differ by less than 2.3e-308 where a floored part of the
+    carried row meets a term below 2e-292 in the next step: on a complex
+    spectrum a cross term of e^(alpha dt) x_k, on a real one only a nonzero
+    g_k that small, so a real spectrum under a drive of ordinary size keeps
+    every bit.
     Requires sig.t0 == 0; the arguments are checked on the call, before the
     first block.
     """
@@ -294,6 +306,12 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0, got {n_steps}")
     return _conv_blocks(alpha, sig, n_steps)
+
+
+def _floor(arr: np.ndarray) -> None:
+    # every real or imaginary part below the smallest normal float to +0.0
+    parts = arr.view(float)
+    np.putmask(parts, np.abs(parts) < np.finfo(float).tiny, 0.0)
 
 
 def _decay_step(x: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -346,10 +364,7 @@ def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
         elif free.shape[0] > 2:
             free[1:] = decay
             np.multiply.accumulate(free, axis=0, out=free)
-        # a product that rounds to zero may be -0.0, where a step, 0 + decay
-        # x_k, gives +0.0; adding 0.0 keeps the stepped rows' bits
-        formed = block[max(hi - k0, 0):]
-        np.add(formed, 0.0, out=formed)
+        _floor(block)
         carry = block[-1].copy()
         yield block
 

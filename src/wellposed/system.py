@@ -38,8 +38,6 @@ _SCAN_UPPER_SLACK = 1e-12
 
 
 class TailMajorant(Protocol):
-    def term(self, n: int) -> float: ...
-
     def sum_from(self, start: int) -> float: ...
 
     def describe(self) -> dict: ...
@@ -57,9 +55,6 @@ class HeatTail:
             raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
         if self.channels < 1:
             raise DomainError(f"channels must be >= 1, got {self.channels}")
-
-    def term(self, n: int) -> float:
-        return self.channels * (4.0 / math.pi) / (self.lambda0 + float(n) ** 2)
 
     def sum_from(self, start: int) -> float:
         # sum_{n>=0} 1/(n^2 + a^2) = (1 + a pi coth(a pi)) / (2 a^2)
@@ -86,9 +81,6 @@ class PowerLawTail:
     def __post_init__(self):
         if self.coefficient < 0:
             raise DomainError(f"coefficient must be >= 0, got {self.coefficient}")
-
-    def term(self, n: int) -> float:
-        return self.coefficient * float(max(n, 1)) ** (-self.exponent)
 
     def sum_from(self, start: int) -> float:
         if self.coefficient == 0.0:

@@ -43,9 +43,10 @@ DOCUMENTED = [
 
 
 def unused_public_definitions(package_dir: Path, exported) -> list[str]:
-    """module.name of each public top-level def or class in package_dir that
-    is not in exported and that no module of the package, __init__ aside,
-    names anywhere but in its own definition."""
+    """module.name of each public top-level def or class in package_dir, and
+    module.Class.name of each public method of a public class, that is not in
+    exported and that no module of the package, __init__ aside, names anywhere
+    but in its own definition."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
     used = set()
     for stem, tree in trees.items():
@@ -56,10 +57,19 @@ def unused_public_definitions(package_dir: Path, exported) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in exported and node.name not in used]
+
+    def public(nodes, kinds):
+        return [node for node in nodes if isinstance(node, kinds)
+                and not node.name.startswith("_")]
+
+    found = []
+    for stem, tree in trees.items():
+        for node in public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            found.append((f"{stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{stem}.{node.name}.{method.name}", method.name)
+                          for method in public(node.body, ast.FunctionDef)]
+    return [where for where, name in found if name not in exported and name not in used]
 
 
 def test_all_is_the_documented_api():

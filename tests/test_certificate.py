@@ -172,6 +172,7 @@ class TestCertifySystem:
         {"dt": 0.0}, {"dt": math.nan}, {"t_max": math.inf}, {"t_max": -1.0},
         {"p": math.nan}, {"p": 0.5}, {"p": math.inf},
         {"gamma_max": math.inf}, {"gamma_max": 0.0}, {"t0": math.inf}, {"t0": math.nan},
+        {"gamma_steps": 1}, {"gamma_steps": 2.5}, {"lambda_probes": (1.0, 2.0j)},
     ])
     def test_rejects_bad_parameters_before_any_stage(self, monkeypatch, kwargs):
         def stage(*args, **kw):

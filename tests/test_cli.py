@@ -130,7 +130,8 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "nan"],
                                        ["--p", "nan", "--exploratory"],
                                        ["--gamma-max", "inf"], ["--t0", "inf"],
-                                       ["--dt", "2"]])
+                                       ["--dt", "2"], ["--gamma-steps", "1"],
+                                       ["--lambda-probes", "0"]])
     def test_bad_parameters_fail_before_any_stage(self, tmp_path, capsys, flags):
         rc = main(["certify", "--builtin", "heat", "--modes", "4",
                    "--out", str(tmp_path)] + flags)

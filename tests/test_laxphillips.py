@@ -170,6 +170,46 @@ def test_io_map_intxp_rejects_nonzero_start():
         input_output_map_intxp(sys, 1.0, _const_u(1.0))
 
 
+def test_io_map_and_state_carry_no_subnormal_part():
+    # e^(alpha dt) > 1/2 for alpha = -100 and -300 at dt = 1e-3, so round to
+    # nearest would hold their free decay at the smallest subnormal; the
+    # second output observes only those two modes
+    sys = build_system({
+        "eigenvalues": [-100.0, -300.0, -2.0],
+        "control": [[1.0], [0.5], [0.3]],
+        "observation": [[1.0, 0.7, 0.2], [1.0, 0.7, 0.0]],
+    })
+    dt = 1e-3
+    r = dt * np.arange(1001)
+    u = Signal(0.0, dt, (r**2 * (1.0 - r) ** 2)[:, None])
+
+    def subnormal_parts(arr):
+        parts = np.abs(np.asarray(arr).view(float))
+        return int(np.count_nonzero((parts != 0.0) & (parts < np.finfo(float).tiny)))
+
+    y = input_output_map(sys, 10.0, u).samples
+    assert subnormal_parts(y) == 0 and y[-1, 1] == 0.0 and y[-1, 0] != 0.0
+    states = control_to_state(sys, np.linspace(0.0, 10.0, 41), u)
+    assert subnormal_parts(states) == 0 and np.all(states[-1, :2] == 0.0)
+
+
+_TIME_CALLS = {
+    "observe_trajectory": lambda sys, t: observe_trajectory(sys, t, [1.0], 0.1),
+    "control_to_state": lambda sys, t: control_to_state(sys, [0.5, t], _const_u()),
+    "input_output_map": lambda sys, t: input_output_map(sys, t, _const_u()),
+    "step_extended_state": lambda sys, t: step_extended_state(sys, t, _rest_state(sys)),
+    "semigroup_law_residual": lambda sys, t: semigroup_law_residual(sys, 0.5, t,
+                                                                    _rest_state(sys)),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", sorted(_TIME_CALLS))
+def test_maps_reject_non_finite_and_negative_times(call, t):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        _TIME_CALLS[call](_scalar_sys(), t)
+
+
 def test_extended_state_validation():
     good_past = Signal(-1.0, 0.1, np.zeros((11, 1)))
     good_future = Signal(0.0, 0.1, np.zeros((11, 1)))

@@ -344,6 +344,9 @@ def _lfilter_trajectory(alpha, sig, n_steps):
     decay = np.exp(w)
     for m in range(nmodes):
         out[1:, m] = lfilter([1.0], [1.0, -decay[m]], g[:, m])
+    # the kernel's floor: parts below the smallest normal float read as +0.0
+    parts = out.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
     return out
 
 
@@ -426,6 +429,30 @@ def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows, n_liv
     assert len(blocks) == len(row_blocks(46, alpha.shape[0])) > 1
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
     np.testing.assert_array_equal(exp_conv_trajectory(alpha, sig, 45), whole)
+
+
+def _stuck_drive(dt=1e-3):
+    # r^2 (1 - r)^2 on [0, 1] through b = (1, 0.5, 0.3)
+    r = dt * np.arange(int(round(1.0 / dt)) + 1)
+    return Signal(0.0, dt, np.outer(r**2 * (1.0 - r) ** 2, [1.0, 0.5, 0.3]))
+
+
+@pytest.mark.parametrize("block_rows", [2, 7, 1001])
+def test_conv_blocks_floor_stuck_subnormals_in_every_layout(monkeypatch, block_rows):
+    # e^(alpha dt) > 1/2 for alpha = -100 and -300 at dt = 1e-3, so round to
+    # nearest would hold their free decay at the smallest subnormal, 4.9e-324
+    alpha = np.array([-100.0, -300.0, -2.0], dtype=complex)
+    sig = _stuck_drive()
+    whole = exp_conv_trajectory(alpha, sig, 10000)
+    monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * alpha.shape[0])
+    blocks = list(exp_conv_blocks(alpha, sig, 10000))
+    assert len(blocks) == len(row_blocks(10001, alpha.shape[0])) > 1
+    np.testing.assert_array_equal(np.concatenate(blocks).view(np.uint64), whole.view(np.uint64))
+    parts = np.abs(whole.view(float))
+    assert not np.any((parts != 0.0) & (parts < np.finfo(float).tiny))
+    # the stuck modes end at +0.0, the resolved one does not
+    assert np.array_equal(whole[-1, :2].view(np.uint64), np.zeros(4, dtype=np.uint64))
+    assert whole[-1, 2].real > 0.0
 
 
 @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
