@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, PreconditionError, StabilityError
+from .signals import row_blocks
 from .system import MultiplierReport, SpectralSystem
 
 _MAX_GRAM_ORDER = 4096
@@ -63,44 +64,75 @@ def _check_window(sys: SpectralSystem, t0: float) -> None:
 def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
     """K_ij = int_0^t0 e^(w_ij s) ds with w_ij = conj(alpha_i) + alpha_j, the
     observation Gram's kernel; the control Gram's is exactly its conjugate.
-    Returned as its Hermitian part (K + K^H)/2, so each Gram, its product
-    with an exactly Hermitian outer product, is exactly Hermitian in place.
 
     K_ij = (conj(e_i) e_j - 1)/w_ij from the N exponentials e = e^(alpha t0),
     so no N x N exponential is formed, except where the numerator
     |conj(e_i) e_j - 1| is below 1/2: it cancels there, and expm1(w_ij t0)/w_ij
-    takes those entries.
+    takes those entries. The numerator is written into K from real outer
+    products, Re = e_r e_r^T + e_i e_i^T - 1 and Im = e_r e_i^T - e_i e_r^T,
+    whose mirror entries are exact conjugates; w, expm1 and the division keep
+    that, so K is exactly Hermitian, and so is each Gram, its product with an
+    exactly Hermitian outer product. K is built in blocks of rows
+    (signals.row_blocks), so besides K only block-sized arrays are held.
     """
-    w = np.conj(alpha)[:, None] + alpha[None, :]
-    if np.any(w == 0.0):
-        raise InternalError("eigenvalue pair sum hit zero despite stability")
+    n = alpha.shape[0]
     e = np.exp(alpha * t0)
-    kernel = np.conj(e)[:, None] * e[None, :]
-    kernel -= 1.0
-    small = np.abs(kernel) < 0.5
-    if np.any(small):
-        kernel[small] = np.expm1(w[small] * t0)
-    kernel /= w
-    kernel += np.conj(kernel.T, out=w)
-    kernel *= 0.5
+    e_r, e_i = e.real, e.imag
+    kernel = np.empty((n, n), dtype=complex)
+    parts = kernel.view(float).reshape(n, n, 2)
+    for r0, r1 in row_blocks(n, n):
+        w = np.conj(alpha[r0:r1])[:, None] + alpha[None, :]
+        if np.any(w == 0.0):
+            raise InternalError("eigenvalue pair sum hit zero despite stability")
+        re, im = parts[r0:r1, :, 0], parts[r0:r1, :, 1]
+        np.multiply.outer(e_r[r0:r1], e_r, out=re)
+        re += np.multiply.outer(e_i[r0:r1], e_i)
+        re -= 1.0
+        np.multiply.outer(e_r[r0:r1], e_i, out=im)
+        im -= np.multiply.outer(e_i[r0:r1], e_r)
+        block = kernel[r0:r1]
+        small = np.abs(block) < 0.5
+        if np.any(small):
+            block[small] = np.expm1(w[small] * t0)
+        block /= w
     return kernel
 
 
+def _mirror_lower(gram: np.ndarray, negate: bool) -> None:
+    """Overwrite the strict lower triangle of gram with the conjugate
+    transpose of its strict upper one, negated if asked, in blocks of rows."""
+    n = gram.shape[0]
+    for r0, r1 in row_blocks(n, n):
+        upper = np.conj(gram[:r1, r0:r1].T)
+        if negate:
+            np.negative(upper, out=upper)
+        below = np.arange(r1)[None, :] < np.arange(r0, r1)[:, None]
+        np.copyto(gram[r0:r1, :r1], upper, where=below)
+
+
 def _top_eigenvalue(gram: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian Gram.
+    """Largest eigenvalue of an exactly Hermitian Gram.
 
     Orders up to _DENSE_EIG_ORDER use the dense eigensolver. Larger ones take
     the Lanczos (ARPACK) Ritz value theta and keep it only if the Cholesky
     factorisation of theta (1 + _GUARD_REL) I - G succeeds, which shows that
     no eigenvalue lies above that shift (Rump, Acta Numerica 2010). An
     unconverged or rejected theta falls back to the dense eigensolver.
+
+    The guard needs no copy of G: the shifted matrix is written into G's
+    lower triangle and diagonal, and LAPACK's potrf factors it there through
+    the F-ordered view G^T, whose upper triangle holds the shifted matrix's
+    conjugate, positive definite exactly when the shifted matrix is. The
+    lower triangle and diagonal are then restored from the untouched upper
+    triangle and a saved diagonal, so an exactly Hermitian G leaves as it
+    came in.
     """
     n = gram.shape[0]
     if not np.any(gram):
         return 0.0
     if n > _DENSE_EIG_ORDER:
         # imported here: scipy.sparse.linalg would slow every package import
-        from scipy.linalg import LinAlgError, cho_factor
+        from scipy.linalg.lapack import get_lapack_funcs
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
         # a fixed start vector keeps the value deterministic
@@ -108,12 +140,20 @@ def _top_eigenvalue(gram: np.ndarray) -> float:
         try:
             theta = float(eigsh(gram, k=1, which="LA", v0=v0, tol=0,
                                 return_eigenvectors=False)[0])
-            shifted = np.negative(gram, order="F")
-            shifted[np.diag_indices(n)] += theta * (1.0 + _GUARD_REL)
-            cho_factor(shifted, overwrite_a=True, check_finite=False)
-            return theta
-        except (ArpackNoConvergence, LinAlgError):
+        except ArpackNoConvergence:
             pass
+        else:
+            (potrf,) = get_lapack_funcs(("potrf",), (gram,))
+            diagonal = gram.diagonal().copy()
+            _mirror_lower(gram, negate=True)
+            np.fill_diagonal(gram, theta * (1.0 + _GUARD_REL) - diagonal)
+            try:
+                info = potrf(gram.T, lower=0, clean=0, overwrite_a=1)[1]
+            finally:
+                _mirror_lower(gram, negate=False)
+                np.fill_diagonal(gram, diagonal)
+            if info == 0:
+                return theta
     return float(np.linalg.eigvalsh(gram)[-1])
 
 

@@ -18,6 +18,7 @@ from .errors import DimensionError, DomainError, HorizonError, SchemaError
 from .signals import (
     _GRID_REL_TOL,
     Signal,
+    _check_times,
     exp_conv_final,
     exp_conv_trajectory,
     lp_norm,
@@ -65,13 +66,6 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
             f"{sys.n_inputs} inputs"
         )
     as_state(xs.state, sys.n_modes)
-
-
-def _check_times(*times) -> None:
-    for t in times:
-        ts = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(ts) & (ts >= 0)):
-            raise DomainError(f"time must be finite and >= 0, got {t}")
 
 
 def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:

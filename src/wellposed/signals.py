@@ -98,6 +98,13 @@ def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
     return _segment(h, v[:-1], v[1:], p1, p2)
 
 
+def _check_times(*times) -> None:
+    for t in times:
+        ts = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(ts) & (ts >= 0)):
+            raise DomainError(f"time must be finite and >= 0, got {t}")
+
+
 def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) row ranges covering n_rows rows of the given
     width, each of about _BLOCK_ELEMENTS elements.
@@ -225,15 +232,15 @@ def exp_conv_final(alpha, sig: Signal, t) -> np.ndarray:
     _ANCHOR_ROWS anchors at a time. An anchor within _GRID_REL_TOL * dt of a
     knot is taken at the knot. Parts below 2.2e-308 read as +0.0, as in
     exp_conv_blocks, since decay to an anchor past the grid can reach them.
-    Returns shape (N,) for a scalar t and (len(t), N) for a 1-d array.
+    Anchors must be finite and >= 0. Returns shape (N,) for a scalar t and
+    (len(t), N) for a 1-d array.
     """
     alpha = np.asarray(alpha, dtype=complex)
     _paired(alpha, sig)
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise DimensionError(f"anchors must be a scalar or 1-d, got shape {ts.shape}")
-    if np.any(ts < 0):
-        raise DomainError(f"upper limit must be >= 0, got {np.min(ts)}")
+    _check_times(ts)
     n, dt, tol = sig.n_samples, sig.dt, _GRID_REL_TOL * sig.dt
     T = np.atleast_1d(ts)
     knot = sig.t0 + np.clip(np.rint((T - sig.t0) / dt), 0, n - 1) * dt

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cross_oracles import dense_gram_constants
+from wellposed import signals
 from wellposed.admissibility import (
     _DENSE_EIG_ORDER,
     AdmissibilityReport,
@@ -301,12 +302,27 @@ class TestTopEigenvalue:
         import scipy.sparse.linalg
 
         sys = random_system(np.random.default_rng(71), 300)
-        gram, _ = observation_gram(sys, 1.0)
+        gram = (sys.observation.conj().T @ sys.observation
+                * _gram_kernel(sys.gen.eigenvalues, 1.0))
         spectrum = np.linalg.eigvalsh(gram)
         assert spectrum[-2] < spectrum[-1] * (1 - 1e-6)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             lambda *args, **kwargs: spectrum[-2:-1].copy())
+        untouched = gram.copy()
+        # the fallback reads the Gram the rejected guard factored in place
         assert _top_eigenvalue(gram) == float(spectrum[-1])
+        assert np.array_equal(gram, untouched)
+
+    def test_accepting_guard_leaves_the_gram_as_it_came(self, lanczos_only):
+        # both Grams formed as the public functions form them, but without
+        # passing through the guard first
+        sys = random_system(np.random.default_rng(89), 300, n_inputs=3, n_outputs=3)
+        kernel = _gram_kernel(sys.gen.eigenvalues, 1.0)
+        for gram in (sys.observation.conj().T @ sys.observation * kernel,
+                     sys.control @ sys.control.conj().T * kernel.conj()):
+            untouched = gram.copy()
+            _top_eigenvalue(gram)
+            assert np.array_equal(gram, untouched)
 
     def test_unconverged_lanczos_falls_back(self, monkeypatch):
         import scipy.sparse.linalg
@@ -331,7 +347,7 @@ class TestTopEigenvalue:
 
 
 class TestKernelSymmetry:
-    """The kernel is symmetrised once, and every Gram inherits its exact symmetry."""
+    """The kernel is exactly Hermitian as built, and every Gram inherits that."""
 
     def test_complex_spectrum_grams_exactly_hermitian(self):
         sys = random_system(np.random.default_rng(97), 300, n_inputs=3, n_outputs=3)
@@ -340,10 +356,25 @@ class TestKernelSymmetry:
         for gram, _ in (observation_gram(sys, 1.0), control_gram(sys, 1.0)):
             assert np.array_equal(gram, gram.conj().T)
 
+    def test_kernel_independent_of_block_budget(self, monkeypatch):
+        # blocks of 2 and 3 rows, the default, and the whole kernel in one
+        # block: every entry is formed elementwise, so it keeps its bits
+        alpha = random_system(np.random.default_rng(101), 300).gen.eigenvalues
+        n = alpha.shape[0]
+        kernels = []
+        for budget in (2 * n, 3 * n, signals._BLOCK_ELEMENTS, n * n):
+            monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", budget)
+            kernels.append(_gram_kernel(alpha, 1.0))
+        for kernel in kernels:
+            assert np.array_equal(kernel.view(np.uint64), kernels[0].view(np.uint64))
+            assert np.array_equal(kernel, kernel.conj().T)
+
     def test_report_memory_bounded(self):
-        # the Grams are formed in place on their outer products: the kernel,
-        # one Gram and the Cholesky guard's copy make about 3.3 N^2 complex
-        # values. Symmetrising each Gram in fresh arrays peaks at about 5.3.
+        # the kernel and one Gram, formed in place on its outer product and
+        # checked by the Cholesky guard in its own lower triangle, plus row
+        # blocks of temporaries, make about 2.4 N^2 complex values here. A
+        # kernel built whole next to its pair sums, and a guard on a shifted
+        # copy, peaked at about 3.3.
         n = 1024
         sys = random_system(np.random.default_rng(83), n, n_inputs=3, n_outputs=3)
         scan = m13_sup_scan(sys, 50.0, 101)
@@ -354,4 +385,4 @@ class TestKernelSymmetry:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.25 * n * n * 16
+        assert peak < 2.75 * n * n * 16

@@ -282,6 +282,11 @@ def test_conv_final_knot_anchor_is_trajectory_row():
 def test_conv_final_rejects_bad_anchors():
     with pytest.raises(DomainError):
         exp_conv_final([-1.0], _ramp(), [0.5, -0.1])
+    # NaN and infinite anchors fail the same finite-and->=0 test as the
+    # Lax-Phillips maps, instead of giving zeros after a cast warning
+    for bad in (np.nan, np.inf, [0.5, np.nan, 1.0]):
+        with pytest.raises(DomainError, match="finite"):
+            exp_conv_final([-1.0, -2.0], _ramp(d=2), bad)
     with pytest.raises(DimensionError):
         exp_conv_final([-1.0], _ramp(), np.ones((2, 2)))
     assert exp_conv_final([-1.0], _ramp(), np.array([])).shape == (0, 1)
