@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .signals import (
     _GRID_REL_TOL,
+    _live_width,
+    _segment_into,
     Signal,
     exp_conv_blocks,
     phi1,
@@ -173,13 +175,12 @@ def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
     return horizon
 
 
-def _second_differences(samples: np.ndarray, grid: np.ndarray, lam: complex
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Second differences at the interior knots of samples (dt^2 f'' there)
-    and the kernel decay e^(-Re lam t) at those knots."""
-    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
-    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
-    return d2, decay
+def _second_differences_into(out: np.ndarray, x: np.ndarray) -> None:
+    # x_{k+1} - 2 x_k + x_{k-1} at the interior rows of x, formed in out as
+    # (-2 x_k + x_{k+1}) + x_{k-1}, which rounds the same
+    np.multiply(-2.0, x[1:-1], out=out)
+    np.add(out, x[2:], out=out)
+    np.add(out, x[:-2], out=out)
 
 
 def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
@@ -193,7 +194,8 @@ def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
     """
     if samples.shape[0] < 3:
         return 0.0
-    d2, decay = _second_differences(samples, grid, lam)
+    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
+    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
     total = float(np.max(np.sum(np.abs(d2) * decay[:, None], axis=0)))
     return _QUAD_SAFETY * (dt / 12.0) * total
 
@@ -221,6 +223,16 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     last bits), stores each interior row's ||d2|| * decay for one sum at the
     end, and keeps only the rows the tail envelopes need. The drive u B^T is
     formed over the input's support only, since past it g_k is zero.
+
+    r23's passes write into work arrays allocated once, and reach across each
+    block's start through a 4-row window, with the operations and order of
+    the sums over the whole trajectory. Once the rows they read are all free
+    decay, where a +0.0 mode stays +0.0 (see exp_conv_blocks), they stop at
+    the last live column, but keep two columns at least, since numpy sums a
+    one-column view pairwise; the squared moduli of d2 are still summed over
+    all N modes. The output product block @ C^T stays at full width, since
+    BLAS sums a narrower product in another order. So every residual and
+    budget keeps its bits.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -263,10 +275,10 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     y = u_grid @ sys.feedthrough.T
     w = lam * dt
     p1, p2 = phi1(w), phi2(w)
-    num23 = np.zeros(sys.n_modes, dtype=complex)
+    n = sys.n_modes
+    num23 = np.zeros(n, dtype=complex)
     curv23 = np.empty(max(steps - 1, 0))
     ends = {}
-    back = np.empty((0, sys.n_modes), dtype=complex)
     k0 = 0
     for block in exp_conv_blocks(alpha, drive, steps):
         k1 = k0 + block.shape[0]
@@ -274,19 +286,44 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         for k in r13_steps + [steps]:
             if k0 <= k < k1:
                 ends[k] = block[k - k0].copy()
-        # the window adds the two rows before the block, which its first
-        # segment and second differences reach back to
-        window = np.concatenate([back, block])
-        w0 = k0 - back.shape[0]
-        first = max(k0, 1)
-        terms = np.empty((k1 - first + 1, sys.n_modes), dtype=complex)
-        terms[0] = num23
-        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None],
-                    segment_weights(window[first - 1 - w0:], dt, p1, p2), out=terms[1:])
-        num23 = np.sum(terms, axis=0)
-        d2, decay = _second_differences(window, dt * np.arange(w0, k1), lam)
-        curv23[w0:w0 + d2.shape[0]] = np.linalg.norm(d2, axis=1) * decay
-        back = window[-2:]
+        if k0 == 0:
+            # for the first block and the one row more the last may hold (see
+            # row_blocks): the running-sum row over the factor products, the
+            # segment weights and second differences, and their squared moduli
+            terms = np.empty((k1 + 2, n), dtype=complex)
+            work = np.empty((k1 + 1, n), dtype=complex)
+            sq = np.zeros((k1 + 1, n))
+            wide = n
+        elif k0 > n_drive:
+            # every row from back[0] on is free decay: stop at its last live
+            # column. sq keeps the dead ones at zero for np.linalg.norm's sum.
+            width = max(_live_width(back[0]), min(2, n))
+            sq[:, width:wide] = 0.0
+            wide = width
+        # the segments ending at rows first..k1-1 and the second differences
+        # at knots lo..k1-2; those that reach back past the block's first row
+        # take the two rows before it, from back
+        edge = min(k0, 1)
+        first, lo = max(k0, 1), max(k0 - 1, 1)
+        m, nd = k1 - first, max(k1 - 1 - lo, 0)
+        v = block[:, :wide]
+        sw, tmp = work[:m, :wide], terms[1:m + 1, :wide]
+        if edge:
+            _segment_into(sw[:1], tmp[:1], dt, back[1:, :wide], v[:1], p1, p2)
+        _segment_into(sw[edge:], tmp[edge:], dt, v[:-1], v[1:], p1, p2)
+        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None], sw, out=tmp)
+        terms[0, :wide] = num23[:wide]
+        num23[:wide] = np.sum(terms[:m + 1, :wide], axis=0)
+        d2 = work[:nd, :wide]
+        if edge:
+            _second_differences_into(d2[:2], np.concatenate([back[:, :wide], v[:2]]))
+        _second_differences_into(d2[2 * edge:], v)
+        mod = terms[:nd, :wide]
+        np.multiply(np.conjugate(d2, out=mod), d2, out=mod)
+        sq[:nd, :wide] = mod.real
+        curv23[lo - 1:lo - 1 + nd] = (np.sqrt(np.add.reduce(sq[:nd], axis=1))
+                                      * np.exp(-lam.real * (dt * np.arange(lo, lo + nd))))
+        back = block[-2:].copy()
         k0 = k1
 
     # r23: controlled state transformed componentwise

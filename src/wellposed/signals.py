@@ -88,6 +88,14 @@ def _segment(h, u0, u1, p1, p2):
     return h * (u0 * p1 + (u1 - u0) * p2)
 
 
+def _segment_into(out, tmp, h, u0, u1, p1, p2) -> None:
+    # _segment written into out, with tmp for its second term: the same
+    # operations on the same operands, so the same bits
+    np.multiply(np.subtract(u1, u0, out=tmp), p2, out=tmp)
+    np.add(np.multiply(u0, p1, out=out), tmp, out=out)
+    np.multiply(h, out, out=out)
+
+
 def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
     """h * (v_k p1 + (v_{k+1} - v_k) p2) for each segment between consecutive rows of v.
 
@@ -295,6 +303,11 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
 
     Every real or imaginary part below the smallest normal float, 2.2e-308,
     is returned as +0.0, and the next block continues from the floored row.
+    A block of free rows only runs its passes up to the last live column of
+    the carried row: free decay maps +0.0 to +-0.0 and the floor writes +0.0
+    back, so a zero column stays +0.0, and the columns past it keep the
+    zeros the block was made of, with the same bits as passes over every
+    column. A spectrum whose stiffest modes come last gains the most.
     Where e^(alpha dt) > 1/2, rounding holds a free decay at the smallest
     subnormal, 4.9e-324, while its true value falls far below it, so zero is
     the nearer value, and no later pass runs on the slow subnormal path.
@@ -319,6 +332,12 @@ def _floor(arr: np.ndarray) -> None:
     # every real or imaginary part below the smallest normal float to +0.0
     parts = arr.view(float)
     np.putmask(parts, np.abs(parts) < np.finfo(float).tiny, 0.0)
+
+
+def _live_width(row: np.ndarray) -> int:
+    # 1 + the index of the row's last nonzero entry, 0 if it has none
+    live = np.flatnonzero(row)
+    return int(live[-1]) + 1 if live.size else 0
 
 
 def _decay_step(x: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -362,16 +381,20 @@ def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
             _step_rows(list(block[1 if k0 == 0 else 0:hi - k0]), decay)
             free = block[hi - k0 - 1:]
         else:
-            block[0] = _decay_step(carry, decay)
-            free = block
+            # every row is free: a +0.0 column of the carry stays +0.0, so the
+            # passes stop at its last live column and the rest keep np.zeros
+            width = _live_width(carry)
+            block[0, :width] = _decay_step(carry[:width], decay[:width])
+            free = block[:, :width]
+        rate = decay[:free.shape[1]]
         # the free rows, each from the one before, seeded by the row above them;
         # a 2-row accumulate would round differently (see _decay_step)
         if free.shape[0] == 2:
-            free[1] = _decay_step(free[0], decay)
+            free[1] = _decay_step(free[0], rate)
         elif free.shape[0] > 2:
-            free[1:] = decay
+            free[1:] = rate
             np.multiply.accumulate(free, axis=0, out=free)
-        _floor(block)
+        _floor(block[:, :free.shape[1]])
         carry = block[-1].copy()
         yield block
 

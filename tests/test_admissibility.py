@@ -369,15 +369,21 @@ class TestKernelSymmetry:
             assert np.array_equal(kernel.view(np.uint64), kernels[0].view(np.uint64))
             assert np.array_equal(kernel, kernel.conj().T)
 
-    def test_report_memory_bounded(self):
+    def test_report_memory_bounded(self, monkeypatch):
         # the kernel and one Gram, formed in place on its outer product and
         # checked by the Cholesky guard in its own lower triangle, plus row
         # blocks of temporaries, make about 2.4 N^2 complex values here. A
         # kernel built whole next to its pair sums, and a guard on a shifted
-        # copy, peaked at about 3.3.
+        # copy, peaked at about 3.3. tracemalloc does not see the buffers
+        # LAPACK allocates, such as eigvalsh's copy of the Gram, so the bound
+        # covers the guard path only: taking the dense fallback fails the test.
+        def refuse(gram):
+            raise AssertionError(f"dense fallback taken at order {gram.shape[0]}")
+
         n = 1024
         sys = random_system(np.random.default_rng(83), n, n_inputs=3, n_outputs=3)
         scan = m13_sup_scan(sys, 50.0, 101)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

@@ -278,16 +278,23 @@ class TestVerifyResolventEntries:
         drive = Signal(0.0, dt, resample(u, 0.0, dt, 10001).samples @ sys.control.T)
         assert subnormal_parts(exp_conv_trajectory(sys.gen.eigenvalues, drive, 10000)) == 0
 
-        real = laplace.segment_weights
-        seen = []
+        real, real_into = laplace.segment_weights, laplace._segment_into
+        seen, seen23 = [], []
 
         def spy(v, *args):
             seen.append(subnormal_parts(v))
             return real(v, *args)
 
+        def spy_into(out, tmp, h, u0, u1, *args):
+            # r23's segments, written in place
+            seen23.append(subnormal_parts(u0) + subnormal_parts(u1))
+            return real_into(out, tmp, h, u0, u1, *args)
+
         monkeypatch.setattr(laplace, "segment_weights", spy)
+        monkeypatch.setattr(laplace, "_segment_into", spy_into)
         check = verify_resolvent_entries(sys, 1.0, x, u, t_max=10.0, dt=dt)
         assert seen and not any(seen)
+        assert seen23 and not any(seen23)
         want = _reference_check(sys, 1.0, x, u, 10.0, dt)
         for entry, (name, residual, quad, tail, passed) in zip(check.entries, want):
             assert entry.name == name and entry.passed == passed
@@ -432,6 +439,92 @@ def test_streamed_check_matches_unstreamed_reference(monkeypatch, case, block_ro
         assert entry.passed == passed, name
         np.testing.assert_allclose([entry.residual, entry.quad_budget, entry.tail_budget],
                                    [residual, quad, tail], rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def _dying_complex_system():
+    # the stiffest modes come last: past the drive they floor to +0.0 one
+    # after another, the second by t = 9, so r23's passes narrow to one column
+    alpha = np.array([-0.5 + 3.0j, -100.0 - 20.0j, -300.0 + 50.0j, -1000.0 + 400.0j,
+                      -4000.0 - 700.0j])
+    rng = np.random.default_rng(3)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    gen = DiagonalGenerator(alpha, k=1.0, omega=-0.5)
+    return SpectralSystem(gen, draw((5, 2)), draw((2, 5)), draw((2, 2)))
+
+
+# (system, probe, dt): heat 16 at t_max 40 and the dying system at t_max 10
+_LIVE_WIDTH_CASES = {
+    "heat16": (lambda: build_heat_system(HeatConfig(n_modes=16)), 1.0, 1e-2),
+    "dying": (_dying_complex_system, 0.6 + 0.5j, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIVE_WIDTH_CASES))
+@pytest.mark.parametrize("block_rows", [7, 250])
+def test_live_width_keeps_every_check_bit(monkeypatch, case, block_rows):
+    # the passes that stop at the last live column give the residuals and
+    # budgets of the same passes over every column
+    build, lam, dt = _LIVE_WIDTH_CASES[case]
+    sys = build()
+    t_max = 40.0 if case == "heat16" else 10.0
+    x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
+    u = poly_input(dt, width=sys.n_inputs)
+    monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * sys.n_modes)
+    real = laplace._live_width
+    widths = []
+
+    def spy(row):
+        widths.append(real(row))
+        return widths[-1]
+
+    monkeypatch.setattr(laplace, "_live_width", spy)
+    check = verify_resolvent_entries(sys, lam, x, u, t_max=t_max, dt=dt)
+    assert min(widths) < sys.n_modes
+    if case == "dying":
+        assert min(widths) == 1
+    for module in (laplace, signals):
+        monkeypatch.setattr(module, "_live_width", lambda row: row.shape[0])
+    full = verify_resolvent_entries(sys, lam, x, u, t_max=t_max, dt=dt)
+    assert check.entries == full.entries
+    # r23 and r13 read the forced trajectory. r12 does not, and its
+    # table-sampled free output moves its residual by up to 5e-12 relative
+    # from the reference's direct exponentials here, whatever the width.
+    want = _reference_check(sys, lam, x, u, t_max, dt)
+    for entry, (name, residual, quad, tail, passed) in zip(check.entries[1:], want[1:]):
+        assert entry.name == name and entry.passed == passed
+        np.testing.assert_allclose([entry.residual, entry.quad_budget, entry.tail_budget],
+                                   [residual, quad, tail], rtol=1e-13, atol=0.0,
+                                   err_msg=name)
+
+
+def test_free_decay_passes_stop_at_live_columns(monkeypatch):
+    # the certificate's check on 64 heat modes: past the probe input, r23's
+    # passes run on the live columns only, about a sixth of rows x modes
+    blocks = []
+    real_blocks, real_width = laplace.exp_conv_blocks, laplace._live_width
+
+    def counting(*args):
+        for block in real_blocks(*args):
+            blocks.append(list(block.shape))
+            yield block
+
+    def spy(row):
+        width = real_width(row)
+        # the loop keeps two columns at least
+        blocks[-1][1] = max(width, 2)
+        return width
+
+    monkeypatch.setattr(laplace, "exp_conv_blocks", counting)
+    monkeypatch.setattr(laplace, "_live_width", spy)
+    sys = build_heat_system(HeatConfig(n_modes=64))
+    check = verify_resolvent_entries(sys, 1.0, _probe_state(64), _probe_input(2, 1e-3),
+                                     t_max=40.0, dt=1e-3)
+    assert check.passed
+    assert sum(rows for rows, _ in blocks) == 40001
+    assert sum(rows * width for rows, width in blocks) < 0.25 * 40001 * 64
 
 
 def test_resolvent_check_memory_bounded():

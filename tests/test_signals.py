@@ -460,6 +460,46 @@ def test_conv_blocks_floor_stuck_subnormals_in_every_layout(monkeypatch, block_r
     assert whole[-1, 2].real > 0.0
 
 
+# the stiffest modes come last and floor to +0.0 one after another once the
+# drive ends at t = 1; at t = 10 only the first two are still live
+_DYING_SPECTRA = {
+    "real": np.array([-2.0, -40.0, -300.0, -1000.0, -4000.0]) + 0.0j,
+    "complex": np.array([-2.0 + 3.0j, -40.0 - 20.0j, -300.0 + 50.0j, -1000.0 + 400.0j,
+                         -4000.0 - 700.0j]),
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(_DYING_SPECTRA))
+@pytest.mark.parametrize("block_rows", [2, 3, 7, None])
+def test_conv_blocks_stop_at_last_live_column(monkeypatch, spectrum, block_rows):
+    # a free block's passes stop at the carried row's last live column and
+    # give the bits of the same passes over every column
+    alpha = _DYING_SPECTRA[spectrum]
+    n = alpha.shape[0]
+    dt = 1e-3
+    r = dt * np.arange(int(round(1.0 / dt)) + 1)
+    weight = 1.0 - 0.5j if spectrum == "complex" else 1.0
+    sig = Signal(0.0, dt, np.outer(r**2 * (1.0 - r) ** 2, np.linspace(1.0, 0.3, n)) * weight)
+    if block_rows:
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * n)
+    real = signals._live_width
+    widths = []
+
+    def spy(row):
+        widths.append(real(row))
+        return widths[-1]
+
+    monkeypatch.setattr(signals, "_live_width", spy)
+    narrow = np.concatenate(list(exp_conv_blocks(alpha, sig, 10000)))
+    monkeypatch.setattr(signals, "_live_width", lambda row: row.shape[0])
+    full = np.concatenate(list(exp_conv_blocks(alpha, sig, 10000)))
+    np.testing.assert_array_equal(narrow.view(np.uint64), full.view(np.uint64))
+    assert np.array_equal(narrow[-1, 2:].view(np.uint64), np.zeros(6, dtype=np.uint64))
+    assert np.all(narrow[-1, :2] != 0.0)
+    # one block of 10 001 rows forms its free rows after its forced ones
+    assert min(widths, default=n) == (2 if block_rows else n)
+
+
 @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
 def test_conv_trajectory_ignores_zero_tail_of_drive(monkeypatch, spectrum):
     # a caller may trim the drive after its last nonzero sample or not: the
