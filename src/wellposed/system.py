@@ -211,6 +211,48 @@ def _m13(sys: SpectralSystem, gammas) -> np.ndarray:
     return (res @ pairs).reshape(-1, sys.n_outputs, sys.n_inputs)
 
 
+def _sup_norms(sys: SpectralSystem, gammas) -> np.ndarray:
+    # ||m13(gamma)||_2 at each gamma: the largest singular value per point
+    return np.linalg.svd(_m13(sys, gammas), compute_uv=False)[:, 0]
+
+
+def _block_bounds(sys: SpectralSystem, grid: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre values and majorants of ||m13||_2 on the blocks grid[lo:hi].
+
+    A block spans [ga, gb] = [grid[lo], grid[hi - 1]] and has its centre at
+    gc = grid[(lo + hi - 1) // 2]. Since m13'(gamma) = -i sum_n c_n b_n^T
+    (i gamma - alpha_n)^-2 and ||c_n b_n^T||_2 = ||c_n|| ||b_n||,
+
+        ||m13(gamma)||_2 <= ||m13(gc)||_2 + r sum_n ||c_n|| ||b_n|| / dist_n^2
+
+    on the block, with r = max(gc - ga, gb - gc) and dist_n^2 = (Re alpha_n)^2
+    + max(0, ga - Im alpha_n, Im alpha_n - gb)^2 the squared distance from
+    alpha_n to i[ga, gb]. The blocks go in chunks of _SCAN_ELEMENTS // N, so
+    no array holds more than one chunk's N columns.
+    """
+    alpha = sys.gen.eigenvalues
+    weights = np.linalg.norm(sys.observation, axis=0) * np.linalg.norm(sys.control, axis=1)
+    centres = grid[(starts + ends - 1) // 2]
+    chunk = max(1, _SCAN_ELEMENTS // sys.n_modes)
+    chunks = range(0, starts.size, chunk)
+    values = np.concatenate([_sup_norms(sys, centres[lo:lo + chunk]) for lo in chunks])
+    slopes = np.empty(starts.size)
+    for lo in chunks:
+        gap = np.subtract.outer(grid[starts[lo:lo + chunk]], alpha.imag)
+        np.maximum(gap, alpha.imag - grid[ends[lo:lo + chunk] - 1, None], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        # dist^2 may overflow to inf or underflow to 0; 1/dist^2 is then 0,
+        # below the smallest normal float, or inf, which still bounds
+        with np.errstate(over="ignore", divide="ignore"):
+            np.square(gap, out=gap)
+            gap += alpha.real ** 2
+            np.reciprocal(gap, out=gap)
+        slopes[lo:lo + chunk] = gap @ weights
+    radius = np.maximum(centres - grid[starts], grid[ends - 1] - centres)
+    return values, values + radius * slopes
+
+
 def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> MultiplierReport:
     """Scan ||m13(gamma)||_2 on a uniform grid over [-gamma_max, gamma_max].
 
@@ -222,21 +264,42 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
     The grid runs in blocks of _SCAN_ELEMENTS // N >= 2 points (64 at N = 2048),
     one GEMM and one batched SVD each, so memory does not grow with ``steps``;
     no block is one row, which BLAS would round by its vector path.
+
+    The scan is a branch and bound over these blocks. Each block [ga, gb]
+    gets a majorant B = ||m13(gc)||_2 + r sum_n ||c_n|| ||b_n|| / dist_n^2
+    from its centre point gc (see ``_block_bounds``). The running maximum
+    starts at the largest centre value; blocks are evaluated in decreasing B,
+    and the scan stops at the first block with B + delta < running max -
+    delta. The slack delta = 8 (N + 4) K M eps upperBound covers the rounding
+    of a computed norm and of B. A skipped block therefore holds no grid value
+    as large as the maximum. gridSup is the maximum over the evaluated
+    blocks only, each formed exactly as in a full scan, so it keeps the bits
+    of the full scan's maximum; the centre values serve only as a threshold.
     """
-    if not gamma_max > 0:
-        raise DomainError(f"gamma_max must be > 0, got {gamma_max}")
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(gamma_max) and gamma_max > 0 and math.isfinite(2.0 * gamma_max)):
+        raise DomainError(f"gamma_max must be finite, > 0 and at most half the "
+                          f"largest float, got {gamma_max}")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
     tail = _tail_sum(sys)
     if not math.isfinite(tail):
         raise PreconditionError("observation series is not absolutely summable; "
                                 "compatibility cannot be verified")
-    grid = np.linspace(-gamma_max, gamma_max, steps)
-    bounds = [*range(0, steps - 1, max(2, _SCAN_ELEMENTS // sys.n_modes)), steps]
-    grid_sup = max(
-        float(np.max(np.linalg.svd(_m13(sys, grid[lo:hi]), compute_uv=False)[:, 0]))
-        for lo, hi in zip(bounds, bounds[1:]))
     upper = float(np.sum(_row_weights(sys) / np.abs(sys.gen.eigenvalues.real))) + tail
+    slack = (8.0 * (sys.n_modes + 4) * sys.n_outputs * sys.n_inputs
+             * np.finfo(float).eps * upper)
+    grid = np.linspace(-gamma_max, gamma_max, steps)
+    starts = np.arange(0, steps - 1, max(2, _SCAN_ELEMENTS // sys.n_modes))
+    ends = np.append(starts[1:], steps)
+    values, bounds = _block_bounds(sys, grid, starts, ends)
+    best = float(np.max(values))
+    grid_sup = 0.0
+    for block in np.argsort(-bounds, kind="stable"):
+        if bounds[block] + slack < best - slack:
+            break
+        block_sup = float(np.max(_sup_norms(sys, grid[starts[block]:ends[block]])))
+        grid_sup = max(grid_sup, block_sup)
+        best = max(best, block_sup)
     if grid_sup > upper * (1.0 + _SCAN_UPPER_SLACK):
         raise InternalError(f"grid maximum {grid_sup} exceeds its majorant {upper}")
     return MultiplierReport(grid_sup, upper, float(gamma_max), int(steps), tail)

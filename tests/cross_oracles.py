@@ -6,7 +6,9 @@ smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
 Dirichlet kernels are closed forms that the heat system's control columns
 must reproduce mode by mode. The Gram constants are recomputed with a kernel
 per Gram and the full dense spectrum. The m13 symbol is contracted by einsum
-over the whole resolvent, without the scan's mode-pair matrix.
+over the whole resolvent, without the scan's mode-pair matrix, and its grid
+sup is also taken by the unpruned block loop the branch-and-bound scan
+replaced.
 """
 
 import cmath
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+import wellposed.system
 from wellposed.errors import DomainError, PreconditionError, SpectrumError
 from wellposed.heat import _SPECTRUM_TOL
 from wellposed.signals import _GRID_REL_TOL, Signal, exp_conv_trajectory, phi1, resample, values_at
@@ -142,3 +145,15 @@ def m13_einsum(sys, gammas):
     gammas = np.asarray(gammas, dtype=float)
     res = 1.0 / (1j * gammas[:, None] - sys.gen.eigenvalues[None, :])
     return np.einsum("kn,gn,nm->gkm", sys.observation, res, sys.control, optimize=True)
+
+
+def m13_full_scan_sup(sys, gamma_max, steps):
+    """Grid sup of ||m13||_2 from every block of the scan's layout, blocks of
+    _SCAN_ELEMENTS // N >= 2 rows, with no block skipped."""
+    grid = np.linspace(-gamma_max, gamma_max, steps)
+    size = max(2, wellposed.system._SCAN_ELEMENTS // sys.n_modes)
+    bounds = [*range(0, steps - 1, size), steps]
+    return max(
+        float(np.max(np.linalg.svd(wellposed.system._m13(sys, grid[lo:hi]),
+                                   compute_uv=False)[:, 0]))
+        for lo, hi in zip(bounds, bounds[1:]))

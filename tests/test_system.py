@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wellposed.system
-from cross_oracles import m13_einsum
+from cross_oracles import m13_einsum, m13_full_scan_sup
 from wellposed.errors import (
     CertificateIncompleteError,
     DimensionError,
@@ -23,6 +23,7 @@ from wellposed.system import (
     SpectralSystem,
     build_system,
     compatibility_check,
+    _block_bounds,
     _m13,
     describe_system,
     m13_sup_scan,
@@ -43,6 +44,17 @@ def _random_system(n=6, m=2, k=2, seed=0):
     b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     c = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
     return SpectralSystem(gen, b, c, np.zeros((k, m)))
+
+
+def _near_axis_system(n=256, seed=0):
+    # Re alpha in [-1, -0.5] and Im alpha spread over the scan's grid: every
+    # block lies near some eigenvalue, so few blocks can be skipped
+    rng = np.random.default_rng(seed)
+    alpha = -rng.uniform(0.5, 1.0, n) + 1j * rng.uniform(-100.0, 100.0, n)
+    gen = DiagonalGenerator(alpha, omega=-0.5)
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    return SpectralSystem(gen, b, c, np.zeros((2, 2)))
 
 
 def test_build_minimal_system():
@@ -217,8 +229,75 @@ def test_scan_sup_independent_of_block_budget(monkeypatch):
     for budget in (2 * n, 3 * n, wellposed.system._SCAN_ELEMENTS, steps * n):
         monkeypatch.setattr(wellposed.system, "_SCAN_ELEMENTS", budget)
         sups.append(m13_sup_scan(sys, 9.0, steps).grid_sup)
+        assert sups[-1] == m13_full_scan_sup(sys, 9.0, steps), budget
     assert sups[0] > 0.0
     assert all(sup == sups[0] for sup in sups), sups
+
+
+@pytest.mark.parametrize("make, gamma_max, steps, rows", [
+    *[(lambda n=n: build_system({"builtin": "heat", "modes": n}), 100.0, steps, None)
+      for n in (64, 256, 1024) for steps in (4001, 40001)],
+    *[(lambda seed=seed: _random_system(n=200, m=2, k=3, seed=seed), 20.0, 4001, None)
+      for seed in (0, 1, 2)],
+    (lambda: _random_system(seed=4), 9.0, 1001, None),
+    (lambda: _near_axis_system(), 100.0, 40001, None),
+    # real data: ||m13|| is even in gamma, so on an even grid the maximum
+    # is taken twice, at -h/2 and h/2, which lie in two different blocks
+    (lambda: build_system({"builtin": "heat", "modes": 16}), 50.0, 4000, 2),
+    (lambda: build_system({"builtin": "heat", "modes": 16}), 50.0, 4000, 3),
+], ids=[*[f"heat{n}-{steps}" for n in (64, 256, 1024) for steps in (4001, 40001)],
+        "random200-0", "random200-1", "random200-2", "random6-4", "near-axis",
+        "heat16-even-2rows", "heat16-even-3rows"])
+def test_scan_sup_equals_full_scan(make, gamma_max, steps, rows, monkeypatch):
+    sys = make()
+    if rows is not None:
+        monkeypatch.setattr(wellposed.system, "_SCAN_ELEMENTS", rows * sys.n_modes)
+    rep = m13_sup_scan(sys, gamma_max, steps)
+    assert rep.grid_sup == m13_full_scan_sup(sys, gamma_max, steps)
+
+
+@pytest.mark.parametrize("sys, gamma_max", [
+    (build_system({"builtin": "heat", "modes": 64}), 20.0),
+    (_random_system(n=40, m=2, k=3, seed=5), 10.0),
+    (_random_system(n=40, m=3, k=2, seed=6), 10.0),
+    (_near_axis_system(n=40, seed=1), 100.0),
+    # one mode close to the axis: the bound is tight enough to notice a
+    # distance that stops at the block's nearer edge instead of at 0
+    (build_system({"eigenvalues": [[-0.1, 3.3]], "control": [[1.0]],
+                   "observation": [[1.0]]}), 10.0),
+], ids=["heat64", "random-K3-M2", "random-K2-M3", "near-axis", "one-mode-near-axis"])
+@pytest.mark.parametrize("rows", [2, 7, 50, 401])
+def test_block_bounds_dominate_dense_samples(sys, gamma_max, rows):
+    steps = 401
+    grid = np.linspace(-gamma_max, gamma_max, steps)
+    starts = np.arange(0, steps - 1, rows)
+    ends = np.append(starts[1:], steps)
+    values, bounds = _block_bounds(sys, grid, starts, ends)
+    centres = grid[(starts + ends - 1) // 2]
+    want = np.linalg.svd(m13_einsum(sys, centres), compute_uv=False)[:, 0]
+    np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+    for lo, hi, bound in zip(starts, ends, bounds):
+        dense = np.linspace(grid[lo], grid[hi - 1], 10 * (hi - lo - 1) + 1)
+        norms = np.linalg.svd(m13_einsum(sys, dense), compute_uv=False)[:, 0]
+        assert np.max(norms) <= bound, (lo, hi)
+
+
+def test_scan_evaluates_few_rows(monkeypatch):
+    # 157 blocks of 256 rows; only the blocks near the spectrum, where the
+    # bound can reach the maximum, and one centre row per block are formed
+    sys = _random_system(n=512, m=2, k=2, seed=0)
+    steps = 40001
+    rows = []
+
+    def counting_m13(sys_, gammas):
+        rows.append(len(gammas))
+        return _m13(sys_, gammas)
+
+    monkeypatch.setattr(wellposed.system, "_m13", counting_m13)
+    rep = m13_sup_scan(sys, 100.0, steps)
+    monkeypatch.undo()
+    assert sum(rows) < 0.1 * steps, rows
+    assert rep.grid_sup == m13_full_scan_sup(sys, 100.0, steps)
 
 
 def test_scan_memory_does_not_grow_with_steps():
@@ -243,6 +322,7 @@ def test_scan_memory_does_not_grow_with_steps():
 def test_scan_one_mode_sandwich():
     rep = m13_sup_scan(build_system(_ONE_MODE), 100.0, 4001)
     assert isinstance(rep, MultiplierReport)
+    assert rep.grid_sup == m13_full_scan_sup(build_system(_ONE_MODE), 100.0, 4001)
     assert rep.grid_sup == pytest.approx(1.0, abs=1e-14)
     assert rep.upper_bound == pytest.approx(1.0, rel=1e-15)
     assert rep.grid_sup <= rep.upper_bound
@@ -253,6 +333,7 @@ def test_scan_zero_control():
                         "observation": [[1.0]]})
     rep = m13_sup_scan(sys, 10.0, 21)
     assert rep.grid_sup == 0.0 and rep.upper_bound == 0.0
+    assert rep.grid_sup == m13_full_scan_sup(sys, 10.0, 21)
 
 
 def test_scan_nested_grid_monotone():
@@ -263,12 +344,17 @@ def test_scan_nested_grid_monotone():
     assert fine.upper_bound == coarse.upper_bound
 
 
-def test_scan_rejects_bad_grid():
+def test_scan_rejects_bad_grid(monkeypatch):
     sys = build_system(_ONE_MODE)
-    with pytest.raises(DomainError):
-        m13_sup_scan(sys, 0.0, 10)
-    with pytest.raises(DomainError):
-        m13_sup_scan(sys, 1.0, 1)
+
+    def no_block(sys_, gammas):
+        raise AssertionError("a block was evaluated")
+
+    monkeypatch.setattr(wellposed.system, "_m13", no_block)
+    for gamma_max, steps in ((0.0, 10), (1.0, 1), (math.inf, 10), (-math.inf, 10),
+                             (math.nan, 10), (1e308, 10), (1.0, 2.5), (1.0, "11")):
+        with pytest.raises(DomainError):
+            m13_sup_scan(sys, gamma_max, steps)
 
 
 def test_heat_tail_consistency():
