@@ -4,6 +4,18 @@ constants that extend them from one window [0, t0] to all times.
 The observation constant bounds the squared-norm integral (the p-th power),
 while the control constant bounds the norm itself; the global formulas below
 take the constants exactly in those units, so the asymmetry is kept verbatim.
+
+Both local constants come from the top eigenvalue of a Gram
+G = int_0^t0 (R e^(As))^H (R e^(As)) ds, with R = C for the observation Gram
+and R = B^T for the control Gram. The latter is the conjugate of the
+reachability Gram, with the same spectrum. One dense eigensolve gives it, on
+the smaller of two Hermitian forms. If a composite Gauss-Legendre rule on
+[0, t0] (``_gauss_rule``) needs Q nodes with Q r < N, for the r rows of R,
+it is F F^H of the (Q r x N) factor F whose rows are
+sqrt(w_q) R_k o e^(alpha s_q), and no N x N array is formed. Otherwise it is
+G = (R^H R) o K itself, with the exact kernel K, built in row blocks into one
+N x N array; eigvalsh then holds a work copy of it. M_obs and M_ctl are
+floating-point estimates, not proven bounds.
 """
 
 from __future__ import annotations
@@ -19,11 +31,8 @@ from .system import MultiplierReport, SpectralSystem
 
 _MAX_GRAM_ORDER = 4096
 
-# Grams up to this order keep the dense eigensolver; larger ones use Lanczos
-_DENSE_EIG_ORDER = 64
-
-# relative shift above the Lanczos value that the Cholesky guard checks
-_GUARD_REL = 1e-11
+# nodes per panel of the composite Gauss-Legendre rule
+_GAUSS_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -61,130 +70,93 @@ def _check_window(sys: SpectralSystem, t0: float) -> None:
         raise DomainError(f"Gram path supports up to {_MAX_GRAM_ORDER} modes")
 
 
-def _gram_kernel(alpha: np.ndarray, t0: float) -> np.ndarray:
-    """K_ij = int_0^t0 e^(w_ij s) ds with w_ij = conj(alpha_i) + alpha_j, the
-    observation Gram's kernel; the control Gram's is exactly its conjugate.
+def _gauss_rule(alpha: np.ndarray, t0: float,
+                n_rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Nodes and weights of a composite _GAUSS_POINTS-point Gauss-Legendre
+    rule on [0, t0] for the pair exponentials e^(w s), w = conj(alpha_i) +
+    alpha_j, or None once its Q nodes would make Q n_rows >= N.
+
+    The first panel is [0, min(t0, 1/(2 max|alpha|))], so |w| h <= 1 there.
+    Each later panel is as long as its start, so every e^(w s) decays
+    geometrically from panel to panel, and none is longer than
+    8/max|Im alpha|, 16 radians of the fastest pair oscillation. The loop
+    stops at N/(_GAUSS_POINTS n_rows) panels, whatever t0 max|Im alpha| is.
+    """
+    top_im = float(np.max(np.abs(alpha.imag)))
+    cap = 8.0 / top_im if top_im > 0 else math.inf
+    first = 0.5 / float(np.max(np.abs(alpha)))
+    max_panels = (alpha.shape[0] - 1) // (_GAUSS_POINTS * n_rows)
+    edges = [0.0]
+    while edges[-1] < t0:
+        if len(edges) > max_panels:
+            return None
+        edges.append(min(t0, edges[-1] + min(max(edges[-1], first), cap)))
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    half = 0.5 * np.diff(edges)
+    nodes = (np.array(edges[:-1]) + half)[:, None] + half[:, None] * x
+    return nodes.ravel(), (half[:, None] * w).ravel()
+
+
+def _kernel_gram(rows: np.ndarray, alpha: np.ndarray, t0: float) -> np.ndarray:
+    """G = (R^H R) o K, the Gram of s -> R e^(As) on [0, t0], with the exact
+    kernel K_ij = int_0^t0 e^(w_ij s) ds, w_ij = conj(alpha_i) + alpha_j.
 
     K_ij = (conj(e_i) e_j - 1)/w_ij from the N exponentials e = e^(alpha t0),
     so no N x N exponential is formed, except where the numerator
     |conj(e_i) e_j - 1| is below 1/2: it cancels there, and expm1(w_ij t0)/w_ij
-    takes those entries. The numerator is written into K from real outer
-    products, Re = e_r e_r^T + e_i e_i^T - 1 and Im = e_r e_i^T - e_i e_r^T,
-    whose mirror entries are exact conjugates; w, expm1 and the division keep
-    that, so K is exactly Hermitian, and so is each Gram, its product with an
-    exactly Hermitian outer product. K is built in blocks of rows
-    (signals.row_blocks), so besides K only block-sized arrays are held.
+    takes those entries. G is built in blocks of rows (signals.row_blocks)
+    straight into its N x N array, so besides G only block-sized arrays are
+    held.
     """
     n = alpha.shape[0]
     e = np.exp(alpha * t0)
-    e_r, e_i = e.real, e.imag
-    kernel = np.empty((n, n), dtype=complex)
-    parts = kernel.view(float).reshape(n, n, 2)
+    gram = np.empty((n, n), dtype=complex)
     for r0, r1 in row_blocks(n, n):
         w = np.conj(alpha[r0:r1])[:, None] + alpha[None, :]
         if np.any(w == 0.0):
             raise InternalError("eigenvalue pair sum hit zero despite stability")
-        re, im = parts[r0:r1, :, 0], parts[r0:r1, :, 1]
-        np.multiply.outer(e_r[r0:r1], e_r, out=re)
-        re += np.multiply.outer(e_i[r0:r1], e_i)
-        re -= 1.0
-        np.multiply.outer(e_r[r0:r1], e_i, out=im)
-        im -= np.multiply.outer(e_i[r0:r1], e_r)
-        block = kernel[r0:r1]
+        block = np.multiply.outer(np.conj(e[r0:r1]), e, out=gram[r0:r1])
+        block -= 1.0
         small = np.abs(block) < 0.5
         if np.any(small):
             block[small] = np.expm1(w[small] * t0)
         block /= w
-    return kernel
+        block *= np.conj(rows[:, r0:r1]).T @ rows
+    return gram
 
 
-def _mirror_lower(gram: np.ndarray, negate: bool) -> None:
-    """Overwrite the strict lower triangle of gram with the conjugate
-    transpose of its strict upper one, negated if asked, in blocks of rows."""
-    n = gram.shape[0]
-    for r0, r1 in row_blocks(n, n):
-        upper = np.conj(gram[:r1, r0:r1].T)
-        if negate:
-            np.negative(upper, out=upper)
-        below = np.arange(r1)[None, :] < np.arange(r0, r1)[:, None]
-        np.copyto(gram[r0:r1, :r1], upper, where=below)
-
-
-def _top_eigenvalue(gram: np.ndarray) -> float:
-    """Largest eigenvalue of an exactly Hermitian Gram.
-
-    Orders up to _DENSE_EIG_ORDER use the dense eigensolver. Larger ones take
-    the Lanczos (ARPACK) Ritz value theta and keep it only if the Cholesky
-    factorisation of theta (1 + _GUARD_REL) I - G succeeds, which shows that
-    no eigenvalue lies above that shift (Rump, Acta Numerica 2010). An
-    unconverged or rejected theta falls back to the dense eigensolver.
-
-    The guard needs no copy of G: the shifted matrix is written into G's
-    lower triangle and diagonal, and LAPACK's potrf factors it there through
-    the F-ordered view G^T, whose upper triangle holds the shifted matrix's
-    conjugate, positive definite exactly when the shifted matrix is. The
-    lower triangle and diagonal are then restored from the untouched upper
-    triangle and a saved diagonal, so an exactly Hermitian G leaves as it
-    came in.
-    """
-    n = gram.shape[0]
-    if not np.any(gram):
+def _top_eigenvalue(rows: np.ndarray, alpha: np.ndarray, t0: float) -> float:
+    """Largest eigenvalue of the Gram of s -> R e^(As) on [0, t0], from one
+    dense eigensolve: of F F^H when the Gauss rule's factor F has fewer rows
+    than N, of the kernel-side Gram otherwise."""
+    if not np.any(rows):
         return 0.0
-    if n > _DENSE_EIG_ORDER:
-        # imported here: scipy.sparse.linalg would slow every package import
-        from scipy.linalg.lapack import get_lapack_funcs
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        # a fixed start vector keeps the value deterministic
-        v0 = np.random.default_rng(0).standard_normal(n).astype(gram.dtype)
-        try:
-            theta = float(eigsh(gram, k=1, which="LA", v0=v0, tol=0,
-                                return_eigenvectors=False)[0])
-        except ArpackNoConvergence:
-            pass
-        else:
-            (potrf,) = get_lapack_funcs(("potrf",), (gram,))
-            diagonal = gram.diagonal().copy()
-            _mirror_lower(gram, negate=True)
-            np.fill_diagonal(gram, theta * (1.0 + _GUARD_REL) - diagonal)
-            try:
-                info = potrf(gram.T, lower=0, clean=0, overwrite_a=1)[1]
-            finally:
-                _mirror_lower(gram, negate=False)
-                np.fill_diagonal(gram, diagonal)
-            if info == 0:
-                return theta
-    return float(np.linalg.eigvalsh(gram)[-1])
+    rule = _gauss_rule(alpha, t0, rows.shape[0])
+    if rule is None:
+        matrix = _kernel_gram(rows, alpha, t0)
+    else:
+        nodes, weights = rule
+        decay = np.exp(np.outer(nodes, alpha))
+        decay *= np.sqrt(weights)[:, None]
+        factor = (decay[:, None, :] * rows).reshape(-1, alpha.shape[0])
+        matrix = factor @ factor.conj().T
+    return max(float(np.linalg.eigvalsh(matrix)[-1]), 0.0)
 
 
-def _gram(outer: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, float]:
-    gram = np.multiply(outer, kernel, out=outer)
-    return gram, max(_top_eigenvalue(gram), 0.0)
-
-
-def observation_gram(sys: SpectralSystem, t0: float, *,
-                     _kernel: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Gram matrix of s -> C e^(As) on [0, t0] and its largest eigenvalue M_obs,
-    the smallest constant with int_0^t0 ||C e^(As) x||^2 ds <= M_obs ||x||^2.
-
-    ``_kernel`` is the kernel admissibility_report shares between the Grams."""
+def observation_gram(sys: SpectralSystem, t0: float) -> float:
+    """M_obs, the largest eigenvalue of the Gram of s -> C e^(As) on [0, t0]:
+    the smallest constant with int_0^t0 ||C e^(As) x||^2 ds <= M_obs ||x||^2."""
     _check_window(sys, t0)
-    kernel = _gram_kernel(sys.gen.eigenvalues, t0) if _kernel is None else _kernel
-    return _gram(sys.observation.conj().T @ sys.observation, kernel)
+    return _top_eigenvalue(sys.observation, sys.gen.eigenvalues, t0)
 
 
-def control_gram(sys: SpectralSystem, t0: float, *,
-                 _kernel: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Gram matrix of the reachability map on [0, t0] and M_ctl, the smallest
-    constant with ||int_0^t0 e^(A(t0-r)) B u(r) dr|| <= M_ctl ||u||_2.
-
-    ``_kernel`` is the kernel admissibility_report shares between the Grams,
-    already conjugated."""
+def control_gram(sys: SpectralSystem, t0: float) -> float:
+    """M_ctl, the smallest constant with
+    ||int_0^t0 e^(A(t0-r)) B u(r) dr|| <= M_ctl ||u||_2: the square root of
+    the top eigenvalue of the reachability Gram, the conjugate of the Gram of
+    s -> B^T e^(As)."""
     _check_window(sys, t0)
-    if _kernel is None:
-        _kernel = np.conj(_gram_kernel(sys.gen.eigenvalues, t0))
-    gram, top = _gram(sys.control @ sys.control.conj().T, _kernel)
-    return gram, math.sqrt(top)
+    return math.sqrt(_top_eigenvalue(sys.control.T, sys.gen.eigenvalues, t0))
 
 
 def pair_constant(scan: MultiplierReport | None) -> PairInterval:
@@ -227,12 +199,9 @@ def admissibility_report(sys: SpectralSystem, t0: float,
                          scan: MultiplierReport | None,
                          p: float = 2.0) -> AdmissibilityReport:
     """Assemble the local constants and their global extensions in one report."""
-    _check_window(sys, t0)
-    # one kernel for both Grams; [1] drops each Gram as soon as it is read
-    kernel = _gram_kernel(sys.gen.eigenvalues, t0)
-    m_obs = observation_gram(sys, t0, _kernel=kernel)[1]
-    m_ctl = control_gram(sys, t0, _kernel=np.conj(kernel, out=kernel))[1]
     pair = pair_constant(scan)
+    m_obs = observation_gram(sys, t0)
+    m_ctl = control_gram(sys, t0)
     consts = global_constants(m_obs, m_ctl, pair.upper, sys.gen.k,
                               sys.gen.omega, p, t0)
     return AdmissibilityReport(t0, p, m_obs, m_ctl, pair, consts,

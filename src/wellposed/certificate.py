@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .admissibility import AdmissibilityReport, admissibility_report
+from .admissibility import AdmissibilityReport, _check_window, admissibility_report
 from .errors import DomainError, PreconditionError
 from .heat import _SPECTRUM_TOL
 from .laplace import _QUAD_SAFETY, ResolventCheck, _check_grid, verify_resolvent_entries
@@ -26,6 +26,7 @@ from .system import (
     DEFAULT_TAIL_SHARE,
     MultiplierReport,
     SpectralSystem,
+    _check_scan_grid,
     compatibility_check,
     describe_system,
     m13_sup_scan,
@@ -171,11 +172,10 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
         raise DomainError("lambda_probes must hold one or more finite probes with "
                           f"Re(lambda) > 0, got {lambda_probes}")
     _check_grid(sys, t_max, dt)
-    for name, value in (("t0", t0), ("gamma_max", gamma_max)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
-    if not isinstance(gamma_steps, (int, np.integer)) or gamma_steps < 2:
-        raise DomainError(f"gamma_steps must be an integer >= 2, got {gamma_steps!r}")
+    if not (math.isfinite(t0) and t0 > 0):
+        raise DomainError(f"t0 must be finite and > 0, got {t0}")
+    _check_window(sys, t0)
+    _check_scan_grid(gamma_max, gamma_steps)
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"p must be finite and >= 1, got {p}")
     failures: list[str] = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import (
     CertificateIncompleteError,
@@ -87,6 +86,9 @@ class PowerLawTail:
             return 0.0
         if self.exponent <= 1.0:
             return math.inf
+        # imported here: scipy.special would slow every package import
+        from scipy.special import zeta
+
         return self.coefficient * float(zeta(self.exponent, max(start, 1)))
 
     def describe(self) -> dict:
@@ -253,6 +255,17 @@ def _block_bounds(sys: SpectralSystem, grid: np.ndarray, starts: np.ndarray,
     return values, values + radius * slopes
 
 
+def _check_scan_grid(gamma_max: float, steps: int) -> None:
+    """The scan grid's checks, which certify_system also runs before any
+    stage: gamma_max finite, > 0 and at most half the largest float, so that
+    the grid's width 2 gamma_max is finite, and gamma_steps an integer >= 2."""
+    if not (math.isfinite(gamma_max) and gamma_max > 0 and math.isfinite(2.0 * gamma_max)):
+        raise DomainError(f"gamma_max must be finite, > 0 and at most half the "
+                          f"largest float, got {gamma_max}")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise DomainError(f"gamma_steps must be an integer >= 2, got {steps!r}")
+
+
 def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> MultiplierReport:
     """Scan ||m13(gamma)||_2 on a uniform grid over [-gamma_max, gamma_max].
 
@@ -276,11 +289,7 @@ def m13_sup_scan(sys: SpectralSystem, gamma_max: float, steps: int) -> Multiplie
     blocks only, each formed exactly as in a full scan, so it keeps the bits
     of the full scan's maximum; the centre values serve only as a threshold.
     """
-    if not (math.isfinite(gamma_max) and gamma_max > 0 and math.isfinite(2.0 * gamma_max)):
-        raise DomainError(f"gamma_max must be finite, > 0 and at most half the "
-                          f"largest float, got {gamma_max}")
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+    _check_scan_grid(gamma_max, steps)
     tail = _tail_sum(sys)
     if not math.isfinite(tail):
         raise PreconditionError("observation series is not absolutely summable; "

@@ -4,11 +4,11 @@ The state map is integrated by parts and shares no convolution kernel with
 `control_to_state`; the input-output map is integrated by parts twice for
 smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
 Dirichlet kernels are closed forms that the heat system's control columns
-must reproduce mode by mode. The Gram constants are recomputed with a kernel
-per Gram and the full dense spectrum. The m13 symbol is contracted by einsum
-over the whole resolvent, without the scan's mode-pair matrix, and its grid
-sup is also taken by the unpruned block loop the branch-and-bound scan
-replaced.
+must reproduce mode by mode. The Grams are formed whole, with a kernel per
+Gram, and their constants taken from the full dense spectrum. The m13 symbol
+is contracted by einsum over the whole resolvent, without the scan's
+mode-pair matrix, and its grid sup is also taken by the unpruned block loop
+the branch-and-bound scan replaced.
 """
 
 import cmath
@@ -121,22 +121,31 @@ def dirichlet_eval(lam: complex, s: float) -> tuple[complex, complex]:
     return q0, q1
 
 
-def dense_gram_constants(sys, t0):
-    """M_obs and M_ctl from two Grams built apart, each kernel
-    t0 phi1(w t0) formed entry by entry from its own pair sums w, and the
-    full spectrum of the dense eigensolver."""
+def dense_grams(sys, t0):
+    """The observation and control Grams, built apart, each kernel
+    t0 phi1(w t0) formed entry by entry from its own pair sums w, and each
+    Gram symmetrised."""
     alpha = sys.gen.eigenvalues
 
-    def top(outer, w):
-        gram = outer * (t0 * phi1(w * t0))
-        gram = 0.5 * (gram + gram.conj().T)
+    def gram(outer, w):
+        g = outer * (t0 * phi1(w * t0))
+        return 0.5 * (g + g.conj().T)
+
+    return (gram(sys.observation.conj().T @ sys.observation,
+                 np.conj(alpha)[:, None] + alpha[None, :]),
+            gram(sys.control @ sys.control.conj().T,
+                 alpha[:, None] + np.conj(alpha)[None, :]))
+
+
+def dense_gram_constants(sys, t0):
+    """M_obs and M_ctl from the dense Grams and the full spectrum of the
+    dense eigensolver."""
+    g_obs, g_ctl = dense_grams(sys, t0)
+
+    def top(gram):
         return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
-    m_obs = top(sys.observation.conj().T @ sys.observation,
-                np.conj(alpha)[:, None] + alpha[None, :])
-    m_ctl = math.sqrt(top(sys.control @ sys.control.conj().T,
-                          alpha[:, None] + np.conj(alpha)[None, :]))
-    return m_obs, m_ctl
+    return top(g_obs), math.sqrt(top(g_ctl))
 
 
 def m13_einsum(sys, gammas):

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from cross_oracles import control_to_state_ibp, input_output_map_intxp
+from cross_oracles import control_to_state_ibp, dense_grams, input_output_map_intxp
 from wellposed.admissibility import (
     admissibility_report,
     control_gram,
@@ -177,7 +177,7 @@ def test_gram_constant_matches_energy_search():
     sys = SpectralSystem(gen, np.ones((n, 1), dtype=complex), c,
                          np.zeros((2, 1), dtype=complex))
     t0 = 0.8
-    gram, m_obs = observation_gram(sys, t0)
+    m_obs = observation_gram(sys, t0)
 
     # independent kernel: trapezoid of (C e^{As})^H (C e^{As}) over [0, t0]
     m_quad = 160001
@@ -193,9 +193,9 @@ def test_gram_constant_matches_energy_search():
     energies = np.einsum("vn,nl,vl->v", z.conj(), gram_quad, z).real
     assert np.all(energies <= m_obs * (1.0 + 1e-9))
     # random unit vectors alone undershoot the top eigenvalue; the search
-    # set also carries the candidate maximizer, whose energy still comes
-    # from the independent quadrature kernel
-    w, v = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    # set also carries the top eigenvector of the dense oracle Gram, whose
+    # energy still comes from the independent quadrature kernel
+    w, v = np.linalg.eigh(dense_grams(sys, t0)[0])
     top = v[:, -1]
     e_top = float(np.einsum("n,nl,l->", top.conj(), gram_quad, top).real)
     sup_brute = max(float(energies.max()), e_top)
@@ -211,8 +211,8 @@ def test_heat_constants_bounded_and_horizon_uniform():
         assert rep.m_obs <= series
         assert rep.m_ctl ** 2 <= series
         for t in (2.0 * t0, 10.0 * t0):
-            _, m_obs_t = observation_gram(sys, t)
-            _, m_ctl_t = control_gram(sys, t)
+            m_obs_t = observation_gram(sys, t)
+            m_ctl_t = control_gram(sys, t)
             assert m_obs_t <= rep.constants.m_c
             assert m_ctl_t <= rep.constants.m_b
 

@@ -6,15 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cross_oracles import dense_gram_constants
-from wellposed import signals
+from cross_oracles import dense_gram_constants, dense_grams
+from wellposed import admissibility, signals
 from wellposed.admissibility import (
-    _DENSE_EIG_ORDER,
     AdmissibilityReport,
     GlobalConstants,
     PairInterval,
-    _gram_kernel,
-    _top_eigenvalue,
+    _gauss_rule,
+    _kernel_gram,
     admissibility_report,
     control_gram,
     global_constants,
@@ -58,7 +57,7 @@ def quadrature_observation_energy(sys, t0, x, dt=1e-4):
 class TestObservationGram:
     def test_single_mode_closed_form(self):
         sys = scalar_system()
-        gram, m_obs = observation_gram(sys, 1.0)
+        gram, m_obs = dense_grams(sys, 1.0)[0], observation_gram(sys, 1.0)
         expected = (1.0 - math.exp(-2.0)) / 2.0
         assert gram.shape == (1, 1)
         assert m_obs == pytest.approx(0.43233235838169365, rel=1e-15)
@@ -66,15 +65,15 @@ class TestObservationGram:
 
     def test_zero_observation_gives_zero(self):
         sys = scalar_system(c=0.0)
-        _, m_obs = observation_gram(sys, 1.0)
+        m_obs = observation_gram(sys, 1.0)
         assert m_obs == 0.0
 
     def test_matches_quadrature_on_random_system(self):
         rng = np.random.default_rng(7)
         sys = random_system(rng, 3)
-        gram, m_obs = observation_gram(sys, 1.0)
+        gram, m_obs = dense_grams(sys, 1.0)[0], observation_gram(sys, 1.0)
         # eigen-decomposition gives the maximizer, so the sup is attained
-        vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+        vals, vecs = np.linalg.eigh(gram)
         top = vecs[:, -1]
         attained = quadrature_observation_energy(sys, 1.0, top)
         assert attained == pytest.approx(m_obs, rel=1e-6)
@@ -86,12 +85,12 @@ class TestObservationGram:
     def test_monotone_in_window(self):
         rng = np.random.default_rng(11)
         sys = random_system(rng, 4)
-        values = [observation_gram(sys, t0)[1] for t0 in (0.1, 0.5, 1.0, 2.0, 10.0)]
+        values = [observation_gram(sys, t0) for t0 in (0.1, 0.5, 1.0, 2.0, 10.0)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
     def test_heat_trace_bound(self):
         sys = build_heat_system(HeatConfig(n_modes=32))
-        _, m_obs = observation_gram(sys, 1.0)
+        m_obs = observation_gram(sys, 1.0)
         n = np.arange(32)
         trace_bound = float(np.sum(1.0 / (np.pi * (1.0 + n**2))))
         assert 0.0 < m_obs <= trace_bound
@@ -107,7 +106,8 @@ class TestObservationGram:
         alpha = np.append(alpha, [-1e-6, -1e-6 + 2j * np.pi])
         w = np.conj(alpha)[:, None] + alpha[None, :]
         ref = np.expm1(w * t0) / w
-        kernel = _gram_kernel(alpha, t0)
+        # with R one row of ones, R^H R is all ones and the Gram is K itself
+        kernel = _kernel_gram(np.ones((1, alpha.size)), alpha, t0)
         assert np.max(np.abs(kernel - ref) / np.abs(ref)) < 1e-13
 
     def test_rejects_bad_window(self):
@@ -119,13 +119,13 @@ class TestObservationGram:
 class TestControlGram:
     def test_single_mode_closed_form(self):
         sys = scalar_system()
-        _, m_ctl = control_gram(sys, 1.0)
+        m_ctl = control_gram(sys, 1.0)
         assert m_ctl == pytest.approx(math.sqrt((1.0 - math.exp(-2.0)) / 2.0), rel=1e-15)
         assert m_ctl == pytest.approx(0.65751985, abs=5e-8)
 
     def test_zero_control_gives_zero(self):
         sys = scalar_system(b=0.0)
-        _, m_ctl = control_gram(sys, 1.0)
+        m_ctl = control_gram(sys, 1.0)
         assert m_ctl == 0.0
 
     def test_two_mode_gram_matches_quadrature(self):
@@ -134,7 +134,7 @@ class TestControlGram:
         sys = SpectralSystem(gen, b.astype(complex),
                              np.zeros((1, 2), dtype=complex),
                              np.zeros((1, 1), dtype=complex))
-        gram, m_ctl = control_gram(sys, 1.0)
+        gram, m_ctl = dense_grams(sys, 1.0)[1], control_gram(sys, 1.0)
         dt = 1e-4
         r = np.arange(0.0, 1.0 + dt / 2, dt)
         ker = np.exp(np.outer(sys.gen.eigenvalues, 1.0 - r)) * b  # (2, len(r))
@@ -145,7 +145,7 @@ class TestControlGram:
     def test_reachable_state_bounded_by_constant(self):
         rng = np.random.default_rng(23)
         sys = random_system(rng, 3)
-        _, m_ctl = control_gram(sys, 1.0)
+        m_ctl = control_gram(sys, 1.0)
         for _ in range(20):
             u = Signal(0.0, 0.05, rng.standard_normal((21, 2)))
             reached = control_to_state(sys, 1.0, u)
@@ -154,7 +154,7 @@ class TestControlGram:
     def test_monotone_in_window(self):
         rng = np.random.default_rng(31)
         sys = random_system(rng, 4)
-        values = [control_gram(sys, t0)[1] for t0 in (0.1, 0.5, 1.0, 2.0, 10.0)]
+        values = [control_gram(sys, t0) for t0 in (0.1, 0.5, 1.0, 2.0, 10.0)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
 
@@ -215,8 +215,8 @@ class TestGlobalConstants:
     def test_long_horizon_reachable_state_bounded(self):
         rng = np.random.default_rng(41)
         sys = random_system(rng, 3)
-        _, m_obs = observation_gram(sys, 1.0)
-        _, m_ctl = control_gram(sys, 1.0)
+        m_obs = observation_gram(sys, 1.0)
+        m_ctl = control_gram(sys, 1.0)
         consts = global_constants(m_obs, m_ctl, 1.0, k=sys.gen.k, omega=sys.gen.omega)
         for t in (2.0, 10.0):
             n = int(round(t / 0.05))
@@ -257,37 +257,66 @@ class TestReport:
         assert lp_norm(y, 2.0) <= pair.upper * lp_norm(u, 2.0) * (1 + 1e-6) + 1e-9
 
 
+
+
+def spread_system(rng, n_modes, im, channels=3):
+    # the constants-mimo benchmark's recipe: Re alpha in [-0.5 - N/4, -0.5],
+    # Im alpha uniform in [-im, im], channels scaled by 1/sqrt(N)
+    re = -rng.uniform(0.5, 0.5 + n_modes / 4, n_modes)
+    re[0] = -0.5
+    alpha = re + 1j * rng.uniform(-im, im, n_modes)
+    b = rng.standard_normal((n_modes, channels)) / math.sqrt(n_modes)
+    c = rng.standard_normal((channels, n_modes)) / math.sqrt(n_modes)
+    return SpectralSystem(DiagonalGenerator(alpha, k=1.0, omega=-0.5), b.astype(complex),
+                          c.astype(complex), np.zeros((channels, channels), dtype=complex))
+
+
+def near_axis_system():
+    rng = np.random.default_rng(103)
+    alpha = -rng.uniform(0.5, 1.0, 1024) + 1j * rng.uniform(-50.0, 50.0, 1024)
+    b = rng.standard_normal((1024, 3)) + 1j * rng.standard_normal((1024, 3))
+    c = rng.standard_normal((3, 1024)) + 1j * rng.standard_normal((3, 1024))
+    return SpectralSystem(DiagonalGenerator(alpha, k=1.0, omega=float(alpha.real.max())),
+                          b, c, np.zeros((3, 3), dtype=complex))
+
+
+def wide_system():
+    # Re alpha from -1e-3 to -300, so the slowest pair sums cancel to 2e-3
+    rng = np.random.default_rng(107)
+    alpha = -np.geomspace(1e-3, 300.0, 512) + 1j * rng.standard_normal(512)
+    b = rng.standard_normal((512, 2)) + 1j * rng.standard_normal((512, 2))
+    c = rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512))
+    return SpectralSystem(DiagonalGenerator(alpha, k=1.0, omega=-1e-3),
+                          b, c, np.zeros((2, 2), dtype=complex))
+
+
+SYSTEMS = {
+    "heat512": lambda: build_heat_system(HeatConfig(n_modes=512)),
+    "heat1024": lambda: build_heat_system(HeatConfig(n_modes=1024)),
+    "near-axis": near_axis_system,
+    "wide": wide_system,
+    "heat64": lambda: build_heat_system(HeatConfig(n_modes=64)),
+    "constants-mimo": lambda: spread_system(np.random.default_rng([0, 2]), 2048, 50.0),
+    "oscillatory64": lambda: spread_system(np.random.default_rng(109), 64, 500.0),
+}
+
+
 class TestTopEigenvalue:
-    """The Lanczos path with its Cholesky guard against the dense eigensolver."""
-
-    @pytest.fixture
-    def lanczos_only(self, monkeypatch):
-        # the dense eigensolver stays reachable here, but not from the helper,
-        # so a guard that rejected a good Lanczos value shows as a failure
-        dense = np.linalg.eigvalsh
-
-        def refuse(gram):
-            raise AssertionError(f"dense fallback taken at order {gram.shape[0]}")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        return dense
+    """One dense eigensolve per Gram, on the Gauss-rule factor or on the
+    kernel-side Gram, against the dense oracle and against each other."""
 
     @pytest.mark.parametrize("n_modes", [128, 256, 1024])
-    def test_heat_grams(self, n_modes, lanczos_only):
-        assert n_modes > _DENSE_EIG_ORDER
+    def test_heat_grams(self, n_modes):
         sys = build_heat_system(HeatConfig(n_modes=n_modes))
-        gram, m_obs = observation_gram(sys, 1.0)
-        assert m_obs == pytest.approx(float(lanczos_only(gram)[-1]), rel=1e-13)
-        assert m_obs == _top_eigenvalue(gram)
-        gram, m_ctl = control_gram(sys, 1.0)
-        assert m_ctl**2 == pytest.approx(float(lanczos_only(gram)[-1]), rel=1e-13)
-        assert m_ctl == math.sqrt(_top_eigenvalue(gram))
+        m_obs, m_ctl = dense_gram_constants(sys, 1.0)
+        assert observation_gram(sys, 1.0) == pytest.approx(m_obs, rel=1e-13)
+        assert control_gram(sys, 1.0) == pytest.approx(m_ctl, rel=1e-13)
 
-    def test_random_complex_system(self, lanczos_only):
+    def test_random_complex_system(self):
         sys = random_system(np.random.default_rng(61), 300, n_inputs=3, n_outputs=3)
-        for gram, _ in (observation_gram(sys, 1.0), control_gram(sys, 1.0)):
-            top = _top_eigenvalue(gram)
-            assert top == pytest.approx(float(lanczos_only(gram)[-1]), rel=1e-13)
+        m_obs, m_ctl = dense_gram_constants(sys, 1.0)
+        assert observation_gram(sys, 1.0) == pytest.approx(m_obs, rel=1e-13)
+        assert control_gram(sys, 1.0) == pytest.approx(m_ctl, rel=1e-13)
 
     def test_zero_maps_give_exact_zero(self):
         sys = random_system(np.random.default_rng(67), 300, n_inputs=3, n_outputs=3)
@@ -295,45 +324,8 @@ class TestTopEigenvalue:
                               sys.feedthrough)
         no_b = SpectralSystem(sys.gen, np.zeros_like(sys.control), sys.observation,
                               sys.feedthrough)
-        assert observation_gram(no_c, 1.0)[1] == 0.0
-        assert control_gram(no_b, 1.0)[1] == 0.0
-
-    def test_guard_rejects_a_lower_ritz_value(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        sys = random_system(np.random.default_rng(71), 300)
-        gram = (sys.observation.conj().T @ sys.observation
-                * _gram_kernel(sys.gen.eigenvalues, 1.0))
-        spectrum = np.linalg.eigvalsh(gram)
-        assert spectrum[-2] < spectrum[-1] * (1 - 1e-6)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *args, **kwargs: spectrum[-2:-1].copy())
-        untouched = gram.copy()
-        # the fallback reads the Gram the rejected guard factored in place
-        assert _top_eigenvalue(gram) == float(spectrum[-1])
-        assert np.array_equal(gram, untouched)
-
-    def test_accepting_guard_leaves_the_gram_as_it_came(self, lanczos_only):
-        # both Grams formed as the public functions form them, but without
-        # passing through the guard first
-        sys = random_system(np.random.default_rng(89), 300, n_inputs=3, n_outputs=3)
-        kernel = _gram_kernel(sys.gen.eigenvalues, 1.0)
-        for gram in (sys.observation.conj().T @ sys.observation * kernel,
-                     sys.control @ sys.control.conj().T * kernel.conj()):
-            untouched = gram.copy()
-            _top_eigenvalue(gram)
-            assert np.array_equal(gram, untouched)
-
-    def test_unconverged_lanczos_falls_back(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        sys = random_system(np.random.default_rng(73), 300)
-        gram, _ = observation_gram(sys, 1.0)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        assert _top_eigenvalue(gram) == float(np.linalg.eigvalsh(gram)[-1])
+        assert observation_gram(no_c, 1.0) == 0.0
+        assert control_gram(no_b, 1.0) == 0.0
 
     def test_report_matches_dense_constants(self):
         sys = random_system(np.random.default_rng(79), 300, n_inputs=3, n_outputs=3)
@@ -341,54 +333,98 @@ class TestTopEigenvalue:
         m_obs, m_ctl = dense_gram_constants(sys, 1.0)
         assert report.m_obs == pytest.approx(m_obs, rel=1e-13)
         assert report.m_ctl == pytest.approx(m_ctl, rel=1e-13)
-        # the shared kernel gives the same Grams as the public functions
-        assert report.m_obs == observation_gram(sys, 1.0)[1]
-        assert report.m_ctl == control_gram(sys, 1.0)[1]
+        assert report.m_obs == observation_gram(sys, 1.0)
+        assert report.m_ctl == control_gram(sys, 1.0)
+
+    @pytest.mark.parametrize("name, t0", [
+        ("heat512", 1.0), ("heat512", 7.0), ("heat1024", 1.0), ("heat1024", 7.0),
+        ("near-axis", 1.0), ("wide", 1.0), ("heat512", 0.01),
+    ])
+    def test_factor_side_matches_kernel_side(self, monkeypatch, name, t0):
+        sys = SYSTEMS[name]()
+        alpha = sys.gen.eigenvalues
+        assert _gauss_rule(alpha, t0, sys.n_outputs) is not None
+        values = observation_gram(sys, t0), control_gram(sys, t0)
+        monkeypatch.setattr(admissibility, "_gauss_rule", lambda *args: None)
+        m_obs, m_ctl = observation_gram(sys, t0), control_gram(sys, t0)
+        assert values[0] == pytest.approx(m_obs, rel=1e-13)
+        assert values[1] == pytest.approx(m_ctl, rel=1e-13)
+
+    @pytest.mark.parametrize("name, sides", [
+        ("heat64", ["kernel", "kernel"]),
+        ("constants-mimo", ["factor", "factor"]),
+        ("oscillatory64", ["kernel", "kernel"]),
+    ])
+    def test_side_taken(self, monkeypatch, name, sides):
+        rule, taken = _gauss_rule, []
+
+        def spy(*args):
+            nodes = rule(*args)
+            taken.append("kernel" if nodes is None else "factor")
+            return nodes
+
+        monkeypatch.setattr(admissibility, "_gauss_rule", spy)
+        sys = SYSTEMS[name]()
+        observation_gram(sys, 1.0)
+        control_gram(sys, 1.0)
+        assert taken == sides
+
+    def test_gauss_rule_gives_up(self):
+        # unbounded, these would need 1.25e11 and about 1000 panels
+        assert _gauss_rule(np.full(4096, -1.0 + 1e12j), 1.0, 1) is None
+        assert _gauss_rule(np.full(4096, -1.0 + 0j), 1e300, 1) is None
+        # alpha = -1 on [0, 1] takes the panels [0, 1/2] and [1/2, 1]: 32
+        # nodes, so rows r need N > 32 r
+        for rows in (1, 3):
+            nodes, weights = _gauss_rule(np.full(32 * rows + 1, -1.0 + 0j), 1.0, rows)
+            assert nodes.size == 32 and np.all((nodes > 0) & (nodes < 1))
+            assert math.fsum(weights) == pytest.approx(1.0, rel=1e-15)
+            assert _gauss_rule(np.full(32 * rows, -1.0 + 0j), 1.0, rows) is None
+
+
+def report_peak(sys):
+    scan = m13_sup_scan(sys, 50.0, 101)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        admissibility_report(sys, 1.0, scan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestKernelSymmetry:
-    """The kernel is exactly Hermitian as built, and every Gram inherits that."""
-
-    def test_complex_spectrum_grams_exactly_hermitian(self):
-        sys = random_system(np.random.default_rng(97), 300, n_inputs=3, n_outputs=3)
-        kernel = _gram_kernel(sys.gen.eigenvalues, 1.0)
-        assert np.array_equal(kernel, kernel.conj().T)
-        for gram, _ in (observation_gram(sys, 1.0), control_gram(sys, 1.0)):
-            assert np.array_equal(gram, gram.conj().T)
+    """The kernel-side Gram keeps its bits under any row blocks, and the Gram
+    stage's memory stays a fraction of N^2 on the factor side and near one
+    N x N array on the kernel side."""
 
     def test_kernel_independent_of_block_budget(self, monkeypatch):
-        # blocks of 2 and 3 rows, the default, and the whole kernel in one
+        # blocks of 2 and 3 rows, the default, and the whole Gram in one
         # block: every entry is formed elementwise, so it keeps its bits
-        alpha = random_system(np.random.default_rng(101), 300).gen.eigenvalues
+        sys = random_system(np.random.default_rng(101), 300, n_outputs=3)
+        alpha, rows = sys.gen.eigenvalues, sys.observation
         n = alpha.shape[0]
-        kernels = []
+        grams = []
         for budget in (2 * n, 3 * n, signals._BLOCK_ELEMENTS, n * n):
             monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", budget)
-            kernels.append(_gram_kernel(alpha, 1.0))
-        for kernel in kernels:
-            assert np.array_equal(kernel.view(np.uint64), kernels[0].view(np.uint64))
-            assert np.array_equal(kernel, kernel.conj().T)
+            grams.append(_kernel_gram(rows, alpha, 1.0))
+        for gram in grams:
+            assert np.array_equal(gram.view(np.uint64), grams[0].view(np.uint64))
 
-    def test_report_memory_bounded(self, monkeypatch):
-        # the kernel and one Gram, formed in place on its outer product and
-        # checked by the Cholesky guard in its own lower triangle, plus row
-        # blocks of temporaries, make about 2.4 N^2 complex values here. A
-        # kernel built whole next to its pair sums, and a guard on a shifted
-        # copy, peaked at about 3.3. tracemalloc does not see the buffers
-        # LAPACK allocates, such as eigvalsh's copy of the Gram, so the bound
-        # covers the guard path only: taking the dense fallback fails the test.
-        def refuse(gram):
-            raise AssertionError(f"dense fallback taken at order {gram.shape[0]}")
-
+    def test_report_memory_bounded(self):
+        # both Grams take the factor side: the (Q r x N) factor, Q = 64 here,
+        # and its Q x N exponentials. tracemalloc does not see the buffers
+        # LAPACK allocates, such as eigvalsh's work copy.
         n = 1024
         sys = random_system(np.random.default_rng(83), n, n_inputs=3, n_outputs=3)
-        scan = m13_sup_scan(sys, 50.0, 101)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            admissibility_report(sys, 1.0, scan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.75 * n * n * 16
+        assert _gauss_rule(sys.gen.eigenvalues, 1.0, 3) is not None
+        assert report_peak(sys) < 0.75 * n * n * 16
+
+    def test_report_memory_bounded_on_kernel_side(self):
+        # Im alpha in +-500 needs too many nodes, so both Grams take the
+        # kernel side: one N x N Gram plus its row-block temporaries. The
+        # kernel and a Gram held side by side peaked at about 2.1 N^2.
+        n = 1024
+        sys = spread_system(np.random.default_rng(113), n, 500.0)
+        assert _gauss_rule(sys.gen.eigenvalues, 1.0, 3) is None
+        assert report_peak(sys) < 1.5 * n * n * 16

@@ -1,6 +1,7 @@
 """The package exports the API the README documents, src/ holds no public
-function or class that nothing in the package uses and nothing exports, and no
-module reads the environment or starts threads."""
+function or class that nothing in the package uses and nothing exports, no
+module reads the environment or starts threads, and none imports scipy when
+it is loaded."""
 
 import ast
 from pathlib import Path
@@ -102,4 +103,26 @@ def test_no_environment_or_thread_knobs():
             found += [f"{path.name}: {name}" for name in names
                       if name in ("environ", "getenv")
                       or name.split(".")[0] in ("concurrent", "threading")]
+    assert found == []
+
+
+def test_no_top_level_scipy_import():
+    # scipy is imported inside the one function that reads it, so that
+    # `import wellposed` loads none of it; a function body runs only when called
+    package_dir = Path(wellposed.__file__).parent
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []

@@ -173,14 +173,21 @@ class TestCertifySystem:
         {"p": math.nan}, {"p": 0.5}, {"p": math.inf},
         {"gamma_max": math.inf}, {"gamma_max": 0.0}, {"t0": math.inf}, {"t0": math.nan},
         {"gamma_steps": 1}, {"gamma_steps": 2.5}, {"lambda_probes": (1.0, 2.0j)},
+        {"gamma_max": 1e308}, {"modes": 4097},
     ])
     def test_rejects_bad_parameters_before_any_stage(self, monkeypatch, kwargs):
         def stage(*args, **kw):
             raise AssertionError("a stage ran")
 
+        kwargs = dict(kwargs)
+        n = kwargs.pop("modes", 1)
+        # n modes; past the Gram stage's limit when n = 4097
+        gen = DiagonalGenerator(-1.0 - np.arange(n, dtype=complex), k=1.0, omega=-1.0)
+        sys = SpectralSystem(gen, np.ones((n, 1), dtype=complex),
+                             np.ones((1, n), dtype=complex), np.zeros((1, 1), dtype=complex))
         monkeypatch.setattr(certificate, "compatibility_check", stage)
         with pytest.raises(DomainError):
-            certify_system(scalar_system(), **kwargs)
+            certify_system(sys, **kwargs)
 
     def test_verdict_implies_all_pass_flags(self):
         cert = certify_system(build_heat_system(HeatConfig(n_modes=40)), gamma_max=50.0,

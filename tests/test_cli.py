@@ -93,14 +93,14 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("probes", [[], ["--lambda-probes", "1"]])
     def test_heat_certificate_bytes_match_dense_grams(self, tmp_path, monkeypatch, probes):
-        # up to _DENSE_EIG_ORDER modes the shared kernel and the eigensolver
-        # reproduce, bit for bit, a kernel per Gram and the full dense spectrum
+        # at 64 heat modes both Grams take the kernel side, whose single dense
+        # eigensolve reproduces, bit for bit, the dense Grams and full spectrum
         args = ["certify", "--builtin", "heat", "--modes", "64", *probes, "--out"]
         assert main(args + [str(tmp_path / "shared")]) == 0
         monkeypatch.setattr(admissibility, "observation_gram",
-                            lambda sys, t0, **_: (None, dense_gram_constants(sys, t0)[0]))
+                            lambda sys, t0: dense_gram_constants(sys, t0)[0])
         monkeypatch.setattr(admissibility, "control_gram",
-                            lambda sys, t0, **_: (None, dense_gram_constants(sys, t0)[1]))
+                            lambda sys, t0: dense_gram_constants(sys, t0)[1])
         assert main(args + [str(tmp_path / "dense")]) == 0
         shared = (tmp_path / "shared" / "certificate.json").read_bytes()
         assert shared == (tmp_path / "dense" / "certificate.json").read_bytes()

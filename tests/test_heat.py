@@ -176,9 +176,9 @@ class TestTruncationStability:
 
         small = build_heat_system(HeatConfig(n_modes=64))
         large = build_heat_system(HeatConfig(n_modes=128))
-        m_small = observation_gram(small, 1.0)[1]
-        m_large = observation_gram(large, 1.0)[1]
+        m_small = observation_gram(small, 1.0)
+        m_large = observation_gram(large, 1.0)
         assert abs(m_large - m_small) <= 1e-3 * m_large
-        c_small = control_gram(small, 1.0)[1]
-        c_large = control_gram(large, 1.0)[1]
+        c_small = control_gram(small, 1.0)
+        c_large = control_gram(large, 1.0)
         assert abs(c_large - c_small) <= 1e-3 * c_large

@@ -576,8 +576,7 @@ def test_import_skips_scipy_signal():
 
 
 def test_import_skips_scipy_sparse_linalg():
-    # the Gram constants import ARPACK on first use; at import it would add
-    # about 85 ms to every set-up
+    # scipy.sparse.linalg at import would add about 85 ms to every set-up
     assert not loaded_by_import("scipy.sparse.linalg")
 
 
