@@ -257,8 +257,6 @@ class TestReport:
         assert lp_norm(y, 2.0) <= pair.upper * lp_norm(u, 2.0) * (1 + 1e-6) + 1e-9
 
 
-
-
 def spread_system(rng, n_modes, im, channels=3):
     # the constants-mimo benchmark's recipe: Re alpha in [-0.5 - N/4, -0.5],
     # Im alpha uniform in [-im, im], channels scaled by 1/sqrt(N)
