@@ -83,20 +83,33 @@ def laplace_transform(sig: Signal, lam: complex,
     if sig.t0 < 0:
         raise DomainError(f"signal must start at t0 >= 0, got {sig.t0}")
     if tail is not None:
-        omega_t, amp_t = float(tail[0]), float(tail[1])
-        if amp_t < 0:
-            raise DomainError("tail envelope needs amplitude >= 0")
-        if lam.real <= 0:
-            raise DomainError(
-                f"Re(lambda) must be > 0 when the signal continues, got {lam}")
-        if lam.real <= omega_t:
-            raise DomainError(
-                f"Re(lambda) = {lam.real} does not dominate tail rate {omega_t}")
-    w = lam * sig.dt
-    weights = segment_weights(sig.samples, sig.dt, phi1(w), phi2(w))
-    factors = np.exp(-lam * sig.times()[1:])
-    value = np.sum(factors[:, None] * weights, axis=0)
+        omega_t, amp_t = _tail_envelope(lam, tail)
+    value = _transform_sum(_weights(sig.samples, sig.dt, lam), sig.t0, sig.dt, lam)
     return value, 0.0 if tail is None else _tail_bound(lam, sig.end, omega_t, amp_t)
+
+
+def _tail_envelope(lam: complex, tail: tuple[float, float]) -> tuple[float, float]:
+    omega_t, amp_t = float(tail[0]), float(tail[1])
+    if amp_t < 0:
+        raise DomainError("tail envelope needs amplitude >= 0")
+    if lam.real <= 0:
+        raise DomainError(f"Re(lambda) must be > 0 when the signal continues, got {lam}")
+    if lam.real <= omega_t:
+        raise DomainError(
+            f"Re(lambda) = {lam.real} does not dominate tail rate {omega_t}")
+    return omega_t, amp_t
+
+
+def _weights(samples: np.ndarray, h: float, lam: complex) -> np.ndarray:
+    # the transform's segment integrals without their e^(-lam r1) factors
+    w = lam * h
+    return segment_weights(samples, h, phi1(w), phi2(w))
+
+
+def _transform_sum(weights: np.ndarray, t0: float, h: float, lam: complex) -> np.ndarray:
+    # the sum of each segment's weight times e^(-lam r1), r1 = t0 + h k its end
+    factors = np.exp(-lam * (t0 + h * np.arange(1, weights.shape[0] + 1)))
+    return np.sum(factors[:, None] * weights, axis=0)
 
 
 def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
@@ -142,18 +155,32 @@ def _offset_entry(name: str, pieces: list[tuple[float, float, np.ndarray]],
     """Residual and budgets of a block of tau = t + s, sampled as ``pieces`` on
     [0, t_max] as _free_output returns them, against e^(lam s) closed at each
     offset s in _S_VALUES. Offset s reads the last, dt-grid piece up to
-    round((t_max + s)/dt) dt, and amps[i] is the tail envelope past it."""
-    *layer, (tau_last, _, y_last) = pieces
+    round((t_max + s)/dt) dt, and amps[i] is the tail envelope past it.
+
+    The transform of piece y at offset s is laplace_transform's of
+    Signal(tau0 - s, h, y): its checks, segment weights and |second
+    differences| do not depend on s, so each piece forms them once and every
+    offset reads them by prefix. Only the factors e^(-lam (tau - s)), the
+    decay of the quadrature budget and the sums are formed per offset."""
+    formed = []
+    for tau0, h, y in pieces:
+        if not np.all(np.isfinite(y)):
+            raise DomainError("samples must be finite")
+        d2 = np.empty((max(y.shape[0] - 2, 0), y.shape[1]), dtype=complex)
+        _second_differences_into(d2, y)
+        formed.append((tau0, h, _weights(y, h, lam), np.abs(d2)))
+    *layer, (tau_last, _, weights_last, curv_last) = formed
     k0 = int(round(tau_last / dt))
     rows = []
     for s, amp in zip(_S_VALUES, amps):
-        runs = layer + [(tau_last, dt, y_last[:int(round((t_max + s) / dt)) - k0 + 1])]
+        n = int(round((t_max + s) / dt)) - k0 + 1
+        runs = layer + [(tau_last, dt, weights_last[:n - 1], curv_last[:max(n - 2, 0)])]
         value, qb = np.zeros(closed.shape, dtype=complex), 0.0
-        for i, (tau0, h, y) in enumerate(runs):
-            envelope = (omega, amp) if i == len(runs) - 1 else None
-            v, tb = laplace_transform(Signal(tau0 - s, h, y), lam, envelope)
-            value += v
-            qb += _quad_budget(y, tau0 - s + h * np.arange(y.shape[0]), h, lam)
+        for tau0, h, weights, curv in runs:
+            value += _transform_sum(weights, tau0 - s, h, lam)
+            qb += _quad_budget(curv, tau0 - s, h, lam)
+        # the end of the last run, (tau_last - s) + (n - 1) dt, as Signal.end forms it
+        tb = _tail_bound(lam, tau_last - s + (n - 1) * dt, *_tail_envelope(lam, (omega, amp)))
         rows.append((float(np.max(np.abs(value - np.exp(lam * s) * closed))), qb, tb))
     residual, quad, tail = (max(col) for col in zip(*rows))
     return EntryResidual(name, residual, quad, tail, all(r <= q + t for r, q, t in rows))
@@ -183,21 +210,20 @@ def _second_differences_into(out: np.ndarray, x: np.ndarray) -> None:
     np.add(out, x[:-2], out=out)
 
 
-def _quad_budget(samples: np.ndarray, grid: np.ndarray, dt: float,
-                 lam: complex) -> float:
-    """A-posteriori bound on the sampling error of the transform, taken over
-    the worst component.
+def _quad_budget(curv: np.ndarray, t0: float, h: float, lam: complex) -> float:
+    """A-posteriori bound on the sampling error of the transform of samples on
+    the grid t0 + h k, taken over the worst component, from the moduli
+    ``curv`` of their second differences at the interior knots.
 
-    The interpolation error on one segment is about (dt^3/12) f'' times the
-    kernel; second differences estimate dt^2 f'', and summing their moduli
+    The interpolation error on one segment is about (h^3/12) f'' times the
+    kernel; second differences estimate h^2 f'', and summing their moduli
     with a safety factor covers sign changes and kinks alike.
     """
-    if samples.shape[0] < 3:
+    if curv.shape[0] == 0:
         return 0.0
-    d2 = samples[2:] - 2.0 * samples[1:-1] + samples[:-2]
-    decay = np.exp(-lam.real * np.maximum(grid[1:-1], 0.0))
-    total = float(np.max(np.sum(np.abs(d2) * decay[:, None], axis=0)))
-    return _QUAD_SAFETY * (dt / 12.0) * total
+    decay = np.exp(-lam.real * np.maximum(t0 + h * np.arange(1, curv.shape[0] + 1), 0.0))
+    total = float(np.max(np.sum(curv * decay[:, None], axis=0)))
+    return _QUAD_SAFETY * (h / 12.0) * total
 
 
 def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
@@ -224,15 +250,22 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     end, and keeps only the rows the tail envelopes need. The drive u B^T is
     formed over the input's support only, since past it g_k is zero.
 
-    r23's passes write into work arrays allocated once, and reach across each
-    block's start through a 4-row window, with the operations and order of
-    the sums over the whole trajectory. Once the rows they read are all free
-    decay, where a +0.0 mode stays +0.0 (see exp_conv_blocks), they stop at
-    the last live column, but keep two columns at least, since numpy sums a
-    one-column view pairwise; the squared moduli of d2 are still summed over
-    all N modes. The output product block @ C^T stays at full width, since
-    BLAS sums a narrower product in another order. So every residual and
-    budget keeps its bits.
+    r23's passes run with the operations and order of the sums over the
+    whole trajectory. Once the rows they read are all free decay, where a
+    +0.0 mode stays +0.0 (see exp_conv_blocks), they stop at the last live
+    column, but keep two columns at least, since numpy sums a one-column
+    array pairwise; the squared moduli of d2 are still summed over all N
+    modes. numpy pays per row on a narrow view of a wider array, so the
+    passes run on contiguous arrays only: each block after the first is
+    copied at its live width, after the two rows before it that the first
+    segment and second differences reach back to, into one array, and the
+    results go to contiguous (rows, width) arrays carved from flat buffers
+    allocated once. The output product block @ C^T stays at full width,
+    since BLAS sums a narrower product in another order. So every residual
+    and budget keeps its bits.
+
+    r12 and r13 read each piece's segment weights and second differences,
+    formed once, at every offset (see _offset_entry).
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -280,6 +313,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     curv23 = np.empty(max(steps - 1, 0))
     ends = {}
     k0 = 0
+    ext = None
     for block in exp_conv_blocks(alpha, drive, steps):
         k1 = k0 + block.shape[0]
         y[k0:k1] += block @ c.T
@@ -287,12 +321,15 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
             if k0 <= k < k1:
                 ends[k] = block[k - k0].copy()
         if k0 == 0:
-            # for the first block and the one row more the last may hold (see
-            # row_blocks): the running-sum row over the factor products, the
-            # segment weights and second differences, and their squared moduli
-            terms = np.empty((k1 + 2, n), dtype=complex)
-            work = np.empty((k1 + 1, n), dtype=complex)
-            sq = np.zeros((k1 + 1, n))
+            # flat buffers, carved per block into contiguous (rows, wide)
+            # arrays, for the first block and the one row more the last may
+            # hold (see row_blocks): the running-sum row over the factor
+            # products, the segment weights and second differences, and their
+            # squared moduli
+            cap = k1 + 1
+            terms = np.empty((cap + 1) * n, dtype=complex)
+            work = np.empty(cap * n, dtype=complex)
+            sq = np.zeros((cap, n))
             wide = n
         elif k0 > n_drive:
             # every row from back[0] on is free decay: stop at its last live
@@ -300,25 +337,37 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
             width = max(_live_width(back[0]), min(2, n))
             sq[:, width:wide] = 0.0
             wide = width
+            if ext is None and wide < n:
+                # for the widest narrow block; later ones are no wider
+                ext = np.empty((cap + 2) * wide, dtype=complex)
+        # the rows the passes read: the block's, after the two rows before it
+        # for the segments and second differences that reach back past its
+        # first row, as one contiguous array at the live width. The first
+        # block reaches back past none and is full width already, and a
+        # full-width block takes a copy of its own.
+        if k0 == 0:
+            v = block
+        elif ext is None:
+            v = np.concatenate((back, block))
+        else:
+            v = ext[:(k1 - k0 + 2) * wide].reshape(-1, wide)
+            v[:2] = back[:, :wide]
+            v[2:] = block[:, :wide]
         # the segments ending at rows first..k1-1 and the second differences
-        # at knots lo..k1-2; those that reach back past the block's first row
-        # take the two rows before it, from back
+        # at knots lo..k1-2, with the operations and order of the passes over
+        # the whole trajectory
         edge = min(k0, 1)
         first, lo = max(k0, 1), max(k0 - 1, 1)
         m, nd = k1 - first, max(k1 - 1 - lo, 0)
-        v = block[:, :wide]
-        sw, tmp = work[:m, :wide], terms[1:m + 1, :wide]
-        if edge:
-            _segment_into(sw[:1], tmp[:1], dt, back[1:, :wide], v[:1], p1, p2)
-        _segment_into(sw[edge:], tmp[edge:], dt, v[:-1], v[1:], p1, p2)
-        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None], sw, out=tmp)
-        terms[0, :wide] = num23[:wide]
-        num23[:wide] = np.sum(terms[:m + 1, :wide], axis=0)
-        d2 = work[:nd, :wide]
-        if edge:
-            _second_differences_into(d2[:2], np.concatenate([back[:, :wide], v[:2]]))
-        _second_differences_into(d2[2 * edge:], v)
-        mod = terms[:nd, :wide]
+        sums = terms[:(m + 1) * wide].reshape(m + 1, wide)
+        sw = work[:m * wide].reshape(m, wide)
+        _segment_into(sw, sums[1:], dt, v[edge:-1], v[edge + 1:], p1, p2)
+        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None], sw, out=sums[1:])
+        sums[0] = num23[:wide]
+        num23[:wide] = np.sum(sums, axis=0)
+        d2 = work[:nd * wide].reshape(nd, wide)
+        _second_differences_into(d2, v)
+        mod = sums[:nd]
         np.multiply(np.conjugate(d2, out=mod), d2, out=mod)
         sq[:nd, :wide] = mod.real
         curv23[lo - 1:lo - 1 + nd] = (np.sqrt(np.add.reduce(sq[:nd], axis=1))

@@ -559,3 +559,103 @@ def test_heat_check_memory_near_parent_peak():
         tracemalloc.stop()
     assert check.passed
     assert peak < 11.3e6
+
+
+def test_passes_run_on_contiguous_arrays(monkeypatch):
+    # the certificate's check on 64 heat modes: r23's in-place passes, the
+    # second differences of every offset entry and the kernel's floor see
+    # C-contiguous arrays only, the narrow ones past the probe input among them
+    operands = {}
+
+    def spying(module, name):
+        real = getattr(module, name)
+        seen = operands[name] = []
+
+        def spy(*args):
+            seen.extend(a for a in args if isinstance(a, np.ndarray))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((laplace, "_segment_into"), (laplace, "_second_differences_into"),
+                         (signals, "_floor")):
+        spying(module, name)
+    sys = build_heat_system(HeatConfig(n_modes=64))
+    check = verify_resolvent_entries(sys, 1.0, _probe_state(64), _probe_input(2, 1e-3),
+                                     t_max=40.0, dt=1e-3)
+    assert check.passed
+    for name, seen in operands.items():
+        assert any(a.ndim == 2 and a.shape[1] < 64 for a in seen), name
+        assert all(a.flags.c_contiguous for a in seen), name
+
+
+@pytest.mark.parametrize("n_modes, rows", [(8, [901, 1001, 1001]),
+                                           (16, [901, 218, 977, 1001])])
+def test_offset_pieces_weighted_once(monkeypatch, n_modes, rows):
+    # u_hat's transform, then each piece of r12 and r13's one piece: every
+    # offset reads the weights of its pieces by prefix, not its own
+    real = laplace.segment_weights
+    counted = []
+
+    def counting(v, *args):
+        counted.append(v.shape[0])
+        return real(v, *args)
+
+    monkeypatch.setattr(laplace, "segment_weights", counting)
+    sys = build_heat_system(HeatConfig(n_modes=n_modes))
+    check = verify_resolvent_entries(sys, 1.0, np.ones(n_modes) / 4.0,
+                                     poly_input(1e-2, width=2), t_max=10.0, dt=1e-2)
+    assert check.passed
+    assert counted == rows
+
+
+def _per_offset_entry(name, pieces, closed, amps, lam, omega, t_max, dt):
+    # _offset_entry as one laplace_transform of a Signal per piece and offset
+    *layer, (tau_last, _, y_last) = pieces
+    k0 = int(round(tau_last / dt))
+    rows = []
+    for s, amp in zip(laplace._S_VALUES, amps):
+        runs = layer + [(tau_last, dt, y_last[:int(round((t_max + s) / dt)) - k0 + 1])]
+        value, qb = np.zeros(closed.shape, dtype=complex), 0.0
+        for i, (tau0, h, y) in enumerate(runs):
+            envelope = (omega, amp) if i == len(runs) - 1 else None
+            v, tb = laplace_transform(Signal(tau0 - s, h, y), lam, envelope)
+            value += v
+            qb += _reference_quad_budget(y, tau0 - s + h * np.arange(y.shape[0]), h, lam, "max")
+        rows.append((float(np.max(np.abs(value - np.exp(lam * s) * closed))), qb, tb))
+    residual, quad, tail = (max(col) for col in zip(*rows))
+    return laplace.EntryResidual(name, residual, quad, tail,
+                                 all(r <= q + t for r, q, t in rows))
+
+
+@pytest.mark.parametrize("case", ["heat16", "complex"])
+def test_offset_entry_matches_per_offset_transforms(case):
+    # weights and second differences formed once per piece give every bit of
+    # a transform per piece and offset; heat 16 has a stiff layer at dt = 1e-2
+    sys = build_heat_system(HeatConfig(n_modes=16)) if case == "heat16" \
+        else _random_complex_system()
+    alpha, c = sys.gen.eigenvalues, sys.observation
+    x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
+    pieces = laplace._free_output(alpha, c, x, 10.0, 1e-2)
+    lam, omega = 0.7 + 0.4j, max(sys.gen.omega, -1.0)
+    closed = c @ resolvent_apply(sys.gen, lam, x)
+    amps = [0.9 * np.exp(omega * s) for s in laplace._S_VALUES]
+    args = ("r12", pieces, closed, amps, lam, omega, 10.0, 1e-2)
+    assert laplace._offset_entry(*args) == _per_offset_entry(*args)
+
+
+def test_offset_entry_rejects_non_finite_samples(monkeypatch):
+    # each offset's transform reads a Signal, which refuses inf and nan
+    real = laplace._free_output
+
+    def poisoned(*args):
+        *layer, (tau0, h, y) = real(*args)
+        y = y.copy()
+        y[5] = np.inf
+        return layer + [(tau0, h, y)]
+
+    monkeypatch.setattr(laplace, "_free_output", poisoned)
+    with pytest.raises(DomainError, match="finite"):
+        verify_resolvent_entries(scalar_system(), 1.0, [1.0], poly_input(1e-2),
+                                 t_max=10.0, dt=1e-2)
+
