@@ -17,7 +17,6 @@ from .errors import DimensionError, DomainError
 from .signals import (
     _GRID_REL_TOL,
     _live_width,
-    _segment_into,
     Signal,
     exp_conv_blocks,
     phi1,
@@ -166,9 +165,7 @@ def _offset_entry(name: str, pieces: list[tuple[float, float, np.ndarray]],
     for tau0, h, y in pieces:
         if not np.all(np.isfinite(y)):
             raise DomainError("samples must be finite")
-        d2 = np.empty((max(y.shape[0] - 2, 0), y.shape[1]), dtype=complex)
-        _second_differences_into(d2, y)
-        formed.append((tau0, h, _weights(y, h, lam), np.abs(d2)))
+        formed.append((tau0, h, _weights(y, h, lam), np.abs(_second_differences(y))))
     *layer, (tau_last, _, weights_last, curv_last) = formed
     k0 = int(round(tau_last / dt))
     rows = []
@@ -202,12 +199,12 @@ def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
     return horizon
 
 
-def _second_differences_into(out: np.ndarray, x: np.ndarray) -> None:
-    # x_{k+1} - 2 x_k + x_{k-1} at the interior rows of x, formed in out as
+def _second_differences(x: np.ndarray) -> np.ndarray:
+    # x_{k+1} - 2 x_k + x_{k-1} at the interior rows of x, formed in place as
     # (-2 x_k + x_{k+1}) + x_{k-1}, which rounds the same
-    np.multiply(-2.0, x[1:-1], out=out)
-    np.add(out, x[2:], out=out)
-    np.add(out, x[:-2], out=out)
+    d2 = np.multiply(-2.0, x[1:-1])
+    np.add(d2, x[2:], out=d2)
+    return np.add(d2, x[:-2], out=d2)
 
 
 def _quad_budget(curv: np.ndarray, t0: float, h: float, lam: complex) -> float:
@@ -255,14 +252,13 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     +0.0 mode stays +0.0 (see exp_conv_blocks), they stop at the last live
     column, but keep two columns at least, since numpy sums a one-column
     array pairwise; the squared moduli of d2 are still summed over all N
-    modes. numpy pays per row on a narrow view of a wider array, so the
-    passes run on contiguous arrays only: each block after the first is
-    copied at its live width, after the two rows before it that the first
-    segment and second differences reach back to, into one array, and the
-    results go to contiguous (rows, width) arrays carved from flat buffers
-    allocated once. The output product block @ C^T stays at full width,
-    since BLAS sums a narrower product in another order. So every residual
-    and budget keeps its bits.
+    modes, in np.linalg.norm's pairwise order. numpy pays per row on a narrow
+    view of a wider array, so the passes run on contiguous arrays only: each
+    block after the first is copied at its live width, after the two rows
+    before it that the first segment and second differences reach back to,
+    into one array, and each pass forms its result in a new one. The output
+    product block @ C^T stays at full width, since BLAS sums a narrower
+    product in another order. So every residual and budget keeps its bits.
 
     r12 and r13 read each piece's segment weights and second differences,
     formed once, at every offset (see _offset_entry).
@@ -312,8 +308,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     num23 = np.zeros(n, dtype=complex)
     curv23 = np.empty(max(steps - 1, 0))
     ends = {}
-    k0 = 0
-    ext = None
+    k0, wide = 0, n
     for block in exp_conv_blocks(alpha, drive, steps):
         k1 = k0 + block.shape[0]
         y[k0:k1] += block @ c.T
@@ -321,59 +316,35 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
             if k0 <= k < k1:
                 ends[k] = block[k - k0].copy()
         if k0 == 0:
-            # flat buffers, carved per block into contiguous (rows, wide)
-            # arrays, for the first block and the one row more the last may
-            # hold (see row_blocks): the running-sum row over the factor
-            # products, the segment weights and second differences, and their
-            # squared moduli
-            cap = k1 + 1
-            terms = np.empty((cap + 1) * n, dtype=complex)
-            work = np.empty(cap * n, dtype=complex)
-            sq = np.zeros((cap, n))
-            wide = n
+            # |d2|^2, with room for the one row more the last block may hold (see row_blocks)
+            sq = np.zeros((k1 + 1, n))
         elif k0 > n_drive:
             # every row from back[0] on is free decay: stop at its last live
             # column. sq keeps the dead ones at zero for np.linalg.norm's sum.
             width = max(_live_width(back[0]), min(2, n))
             sq[:, width:wide] = 0.0
             wide = width
-            if ext is None and wide < n:
-                # for the widest narrow block; later ones are no wider
-                ext = np.empty((cap + 2) * wide, dtype=complex)
-        # the rows the passes read: the block's, after the two rows before it
-        # for the segments and second differences that reach back past its
-        # first row, as one contiguous array at the live width. The first
-        # block reaches back past none and is full width already, and a
-        # full-width block takes a copy of its own.
-        if k0 == 0:
-            v = block
-        elif ext is None:
-            v = np.concatenate((back, block))
-        else:
-            v = ext[:(k1 - k0 + 2) * wide].reshape(-1, wide)
-            v[:2] = back[:, :wide]
-            v[2:] = block[:, :wide]
+        # the rows the passes read, at the live width: the first block's own,
+        # and each later block's after the two rows before it, which its first
+        # segment and second differences reach back to
+        v = np.concatenate((back[:, :wide], block[:, :wide])) if k0 else block
         # the segments ending at rows first..k1-1 and the second differences
         # at knots lo..k1-2, with the operations and order of the passes over
         # the whole trajectory
-        edge = min(k0, 1)
         first, lo = max(k0, 1), max(k0 - 1, 1)
-        m, nd = k1 - first, max(k1 - 1 - lo, 0)
-        sums = terms[:(m + 1) * wide].reshape(m + 1, wide)
-        sw = work[:m * wide].reshape(m, wide)
-        _segment_into(sw, sums[1:], dt, v[edge:-1], v[edge + 1:], p1, p2)
-        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None], sw, out=sums[1:])
+        sums = np.empty((k1 - first + 1, wide), dtype=complex)
         sums[0] = num23[:wide]
+        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None],
+                    segment_weights(v[min(k0, 1):], dt, p1, p2), out=sums[1:])
         num23[:wide] = np.sum(sums, axis=0)
-        d2 = work[:nd * wide].reshape(nd, wide)
-        _second_differences_into(d2, v)
-        mod = sums[:nd]
-        np.multiply(np.conjugate(d2, out=mod), d2, out=mod)
-        sq[:nd, :wide] = mod.real
+        d2 = _second_differences(v)
+        nd = d2.shape[0]
+        sq[:nd, :wide] = np.multiply(np.conjugate(d2), d2, out=d2).real
         curv23[lo - 1:lo - 1 + nd] = (np.sqrt(np.add.reduce(sq[:nd], axis=1))
                                       * np.exp(-lam.real * (dt * np.arange(lo, lo + nd))))
         back = block[-2:].copy()
         k0 = k1
+    del block, v, sums, d2, back, sq  # r13 runs without the loop's arrays
 
     # r23: controlled state transformed componentwise
     t_end = dt * steps

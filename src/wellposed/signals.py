@@ -84,16 +84,12 @@ def exp_segment_integral(alpha, T, r0, r1, u0, u1):
 
 
 def _segment(h, u0, u1, p1, p2):
-    # the segment integral without its e^(alpha (T - r1)) factor
-    return h * (u0 * p1 + (u1 - u0) * p2)
-
-
-def _segment_into(out, tmp, h, u0, u1, p1, p2) -> None:
-    # _segment written into out, with tmp for its second term: the same
-    # operations on the same operands, so the same bits
-    np.multiply(np.subtract(u1, u0, out=tmp), p2, out=tmp)
-    np.add(np.multiply(u0, p1, out=out), tmp, out=out)
-    np.multiply(h, out, out=out)
+    # the segment integral without its e^(alpha (T - r1)) factor, formed in
+    # place in an array of the arguments' full broadcast shape: the plain
+    # expression's operations and operands, so its bits, with fewer temporaries
+    out = np.asarray(np.multiply(np.subtract(u1, u0), p2))
+    np.add(np.multiply(u0, p1), out, out=out)
+    return np.multiply(h, out, out=out)
 
 
 def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:

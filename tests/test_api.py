@@ -1,9 +1,10 @@
-"""The package exports the API the README documents, src/ holds no public
-function or class that nothing in the package uses and nothing exports, no
-module reads the environment or starts threads, and none imports scipy when
-it is loaded."""
+"""The package exports the API the README documents, src/ holds no function
+or class, public or private, that nothing in the package uses and nothing
+exports, no module reads the environment or starts threads, and none imports
+scipy when it is loaded."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import wellposed
@@ -43,34 +44,33 @@ DOCUMENTED = [
 ]
 
 
-def unused_public_definitions(package_dir: Path, exported) -> list[str]:
-    """module.name of each public top-level def or class in package_dir, and
-    module.Class.name of each public method of a public class, that is not in
-    exported and that no module of the package, __init__ aside, names anywhere
-    but in its own definition."""
+def unused_definitions(package_dir: Path, exported) -> list[str]:
+    """module.name of each top-level def or class in package_dir, public or
+    private, and module.Class.name of each public method of a public class,
+    that is not in exported and that no module of the package, __init__
+    aside, names anywhere but in its own definition."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
-    used = set()
-    for stem, tree in trees.items():
-        if stem == "__init__":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
 
-    def public(nodes, kinds):
-        return [node for node in nodes if isinstance(node, kinds)
-                and not node.name.startswith("_")]
+    def names(node) -> Counter:
+        return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                       for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+    used = sum((names(tree) for stem, tree in trees.items() if stem != "__init__"), Counter())
 
     found = []
     for stem, tree in trees.items():
-        for node in public(tree.body, (ast.FunctionDef, ast.ClassDef)):
-            found.append((f"{stem}.{node.name}", node.name))
-            if isinstance(node, ast.ClassDef):
-                found += [(f"{stem}.{node.name}.{method.name}", method.name)
-                          for method in public(node.body, ast.FunctionDef)]
-    return [where for where, name in found if name not in exported and name not in used]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((f"{stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [(f"{stem}.{node.name}.{method.name}", method) for method in node.body
+                          if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")]
+    return [where for where, node in found
+            if node.name not in exported and used[node.name] == names(node)[node.name]]
+
+
+def _private(where: str) -> bool:
+    return where.rsplit(".", 1)[-1].startswith("_")
 
 
 def test_all_is_the_documented_api():
@@ -82,7 +82,28 @@ def test_all_is_the_documented_api():
 
 def test_every_public_definition_is_used_or_exported():
     package_dir = Path(wellposed.__file__).parent
-    assert unused_public_definitions(package_dir, DOCUMENTED) == []
+    assert [where for where in unused_definitions(package_dir, DOCUMENTED)
+            if not _private(where)] == []
+
+
+def test_every_private_definition_is_used():
+    # a private helper left behind when its last caller goes, such as a
+    # second in-place spelling of a formula, fails here
+    package_dir = Path(wellposed.__file__).parent
+    assert list(filter(_private, unused_definitions(package_dir, DOCUMENTED))) == []
+
+
+def test_unused_definitions_sees_orphans(tmp_path):
+    # a helper named only inside its own body, or only where it is defined,
+    # is an orphan; one named by another module, or exported, is not
+    (tmp_path / "__init__.py").write_text("from .a import _orphan, api\n")
+    (tmp_path / "a.py").write_text(
+        "def _orphan(n):\n    return _orphan(n - 1) if n else 0\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def api():\n    return 2\n\n"
+        "class _Box:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import _helper\n\nX = _helper()\n")
+    assert unused_definitions(tmp_path, ["api"]) == ["a._orphan", "a._Box"]
 
 
 def test_no_environment_or_thread_knobs():

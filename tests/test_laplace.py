@@ -278,20 +278,16 @@ class TestVerifyResolventEntries:
         drive = Signal(0.0, dt, resample(u, 0.0, dt, 10001).samples @ sys.control.T)
         assert subnormal_parts(exp_conv_trajectory(sys.gen.eigenvalues, drive, 10000)) == 0
 
-        real, real_into = laplace.segment_weights, laplace._segment_into
+        real = laplace.segment_weights
         seen, seen23 = [], []
 
         def spy(v, *args):
-            seen.append(subnormal_parts(v))
+            # r23's rows hold two modes or more; u_hat's transform and the
+            # pieces of r12 and r13 hold one channel each
+            (seen23 if v.shape[1] > 1 else seen).append(subnormal_parts(v))
             return real(v, *args)
 
-        def spy_into(out, tmp, h, u0, u1, *args):
-            # r23's segments, written in place
-            seen23.append(subnormal_parts(u0) + subnormal_parts(u1))
-            return real_into(out, tmp, h, u0, u1, *args)
-
         monkeypatch.setattr(laplace, "segment_weights", spy)
-        monkeypatch.setattr(laplace, "_segment_into", spy_into)
         check = verify_resolvent_entries(sys, 1.0, x, u, t_max=10.0, dt=dt)
         assert seen and not any(seen)
         assert seen23 and not any(seen23)
@@ -562,9 +558,10 @@ def test_heat_check_memory_near_parent_peak():
 
 
 def test_passes_run_on_contiguous_arrays(monkeypatch):
-    # the certificate's check on 64 heat modes: r23's in-place passes, the
-    # second differences of every offset entry and the kernel's floor see
-    # C-contiguous arrays only, the narrow ones past the probe input among them
+    # the certificate's check on 64 heat modes: r23's passes, the segment
+    # weights and second differences of every offset entry and the kernel's
+    # floor see C-contiguous arrays only, among them the narrow ones past the
+    # probe input, wider than its two channels
     operands = {}
 
     def spying(module, name):
@@ -577,7 +574,7 @@ def test_passes_run_on_contiguous_arrays(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
 
-    for module, name in ((laplace, "_segment_into"), (laplace, "_second_differences_into"),
+    for module, name in ((laplace, "segment_weights"), (laplace, "_second_differences"),
                          (signals, "_floor")):
         spying(module, name)
     sys = build_heat_system(HeatConfig(n_modes=64))
@@ -585,15 +582,15 @@ def test_passes_run_on_contiguous_arrays(monkeypatch):
                                      t_max=40.0, dt=1e-3)
     assert check.passed
     for name, seen in operands.items():
-        assert any(a.ndim == 2 and a.shape[1] < 64 for a in seen), name
+        assert any(a.ndim == 2 and 2 < a.shape[1] < 64 for a in seen), name
         assert all(a.flags.c_contiguous for a in seen), name
 
 
-@pytest.mark.parametrize("n_modes, rows", [(8, [901, 1001, 1001]),
-                                           (16, [901, 218, 977, 1001])])
+@pytest.mark.parametrize("n_modes, rows", [(8, [901, 1001, 1001, 1001]),
+                                           (16, [901, 218, 977, 1001, 1001])])
 def test_offset_pieces_weighted_once(monkeypatch, n_modes, rows):
-    # u_hat's transform, then each piece of r12 and r13's one piece: every
-    # offset reads the weights of its pieces by prefix, not its own
+    # u_hat's transform, each piece of r12, r23's one block and r13's one
+    # piece: every offset reads the weights of its pieces by prefix, not its own
     real = laplace.segment_weights
     counted = []
 

@@ -307,6 +307,52 @@ def test_segment_integral_broadcasts_over_segments():
         exp_segment_integral(alpha, T, r0, np.array([[1.0], [0.4]]), u0, u1)
 
 
+def _bits(arr):
+    return np.atleast_1d(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["real-u", "complex-u", "anchor-rows"])
+def test_segment_keeps_the_plain_expression_bits(case):
+    # _segment forms h (u0 p1 + (u1 - u0) p2) in place: the same operations
+    # on the same operands, so the same bits and shape, whatever broadcasts
+    rng = np.random.default_rng(3)
+    alpha = -rng.uniform(0.1, 400.0, 37) + 1j * rng.uniform(-30.0, 30.0, 37)
+    h = 1e-3
+    if case == "real-u":
+        # the kernel's drive: real samples, one phi per mode
+        u0, u1 = rng.standard_normal((2, 200, 37))
+        p1, p2 = phi1(alpha * h), phi2(alpha * h)
+    elif case == "complex-u":
+        # r23's rows: complex samples, one phi for the probe
+        u0, u1 = rng.standard_normal((2, 200, 37)) + 1j * rng.standard_normal((2, 200, 37))
+        p1, p2 = phi1((1.0 + 1.0j) * h), phi2((1.0 + 1.0j) * h)
+    else:
+        # exp_conv_final's first partial segments: one start row, a row per anchor
+        h = rng.uniform(1e-4, 1e-2, (5, 1))
+        u0, u1 = rng.standard_normal((1, 37)), rng.standard_normal((5, 37))
+        p1, p2 = phi1(alpha * h), phi2(alpha * h)
+    got = signals._segment(h, u0, u1, p1, p2)
+    want = h * (u0 * p1 + (u1 - u0) * p2)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("shape", [(), (37,)])
+def test_segment_integral_keeps_the_plain_expression_bits(shape):
+    # samples narrower than the anchors' (5, 37) phi, and all-scalar arguments
+    rng = np.random.default_rng(4)
+    alpha = -rng.uniform(0.1, 400.0, shape) + 1j * rng.uniform(-30.0, 30.0, shape)
+    T = rng.uniform(1.0, 2.0, (5, 1)) if shape else 1.5
+    r0, r1 = 0.2, rng.uniform(0.3, 0.9, (5, 1)) if shape else 0.7
+    u0, u1 = rng.standard_normal((2,) + shape)
+    got = exp_segment_integral(alpha, T, r0, r1, u0, u1)
+    h = r1 - r0
+    p1, p2 = phi1(alpha * h), phi2(alpha * h)
+    want = np.exp(alpha * (T - r1)) * (h * (u0 * p1 + (u1 - u0) * p2))
+    assert np.shape(got) == np.shape(want) == np.broadcast_shapes(shape, np.shape(T))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_conv_trajectory_matches_final():
     rng = np.random.default_rng(5)
     sig = Signal(0.0, 0.05, rng.standard_normal((21, 3)))
