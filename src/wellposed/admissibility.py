@@ -12,10 +12,13 @@ reachability Gram, with the same spectrum. One dense eigensolve gives it, on
 the smaller of two Hermitian forms. If a composite Gauss-Legendre rule on
 [0, t0] (``_gauss_rule``) needs Q nodes with Q r < N, for the r rows of R,
 it is F F^H of the (Q r x N) factor F whose rows are
-sqrt(w_q) R_k o e^(alpha s_q), and no N x N array is formed. Otherwise it is
-G = (R^H R) o K itself, with the exact kernel K, built in row blocks into one
-N x N array; eigvalsh then holds a work copy of it. M_obs and M_ctl are
-floating-point estimates, not proven bounds.
+sqrt(w_q) R_k o e^(alpha s_q). F is formed one block of modes at a time,
+and each block F_c adds F_c F_c^H into the lower triangle of one (Q r)^2
+matrix, the only part eigvalsh reads, in panels of rows. So the stage holds
+that matrix, one block and eigvalsh's work copy, and no N x N array.
+Otherwise it is G = (R^H R) o K itself, with the exact kernel K, built in row
+blocks into one N x N array; eigvalsh then holds a work copy of it. M_obs
+and M_ctl are floating-point estimates, not proven bounds.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def _kernel_gram(rows: np.ndarray, alpha: np.ndarray, t0: float) -> np.ndarray:
 def _top_eigenvalue(rows: np.ndarray, alpha: np.ndarray, t0: float) -> float:
     """Largest eigenvalue of the Gram of s -> R e^(As) on [0, t0], from one
     dense eigensolve: of F F^H when the Gauss rule's factor F has fewer rows
-    than N, of the kernel-side Gram otherwise."""
+    than N, of the kernel-side Gram otherwise; F is formed in blocks of
+    modes (signals.row_blocks)."""
     if not np.any(rows):
         return 0.0
     rule = _gauss_rule(alpha, t0, rows.shape[0])
@@ -136,10 +140,18 @@ def _top_eigenvalue(rows: np.ndarray, alpha: np.ndarray, t0: float) -> float:
         matrix = _kernel_gram(rows, alpha, t0)
     else:
         nodes, weights = rule
-        decay = np.exp(np.outer(nodes, alpha))
-        decay *= np.sqrt(weights)[:, None]
-        factor = (decay[:, None, :] * rows).reshape(-1, alpha.shape[0])
-        matrix = factor @ factor.conj().T
+        roots = np.sqrt(weights)[:, None]
+        height = nodes.size * rows.shape[0]
+        matrix = np.zeros((height, height), dtype=complex)
+        panels = row_blocks(height, height)
+        for c0, c1 in row_blocks(alpha.shape[0], height):
+            decay = np.exp(np.outer(nodes, alpha[c0:c1]))
+            decay *= roots
+            factor = (decay[:, None, :] * rows[:, c0:c1]).reshape(height, c1 - c0)
+            adjoint = factor.conj().T
+            # eigvalsh reads only the lower triangle
+            for r0, r1 in panels:
+                matrix[r0:r1, :r1] += factor[r0:r1] @ adjoint[:, :r1]
     return max(float(np.linalg.eigvalsh(matrix)[-1]), 0.0)
 
 

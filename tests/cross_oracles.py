@@ -5,10 +5,11 @@ The state map is integrated by parts and shares no convolution kernel with
 smooth inputs, so its one convolution is of v'' rather than v. The heat rod's
 Dirichlet kernels are closed forms that the heat system's control columns
 must reproduce mode by mode. The Grams are formed whole, with a kernel per
-Gram, and their constants taken from the full dense spectrum. The m13 symbol
-is contracted by einsum over the whole resolvent, without the scan's
-mode-pair matrix, and its grid sup is also taken by the unpruned block loop
-the branch-and-bound scan replaced.
+Gram, and their constants taken from the full dense spectrum; the Gauss
+rule's factor is also formed whole and multiplied by its adjoint in one
+product. The m13 symbol is contracted by einsum over the whole resolvent,
+without the scan's mode-pair matrix, and its grid sup is also taken by the
+unpruned block loop the branch-and-bound scan replaced.
 """
 
 import cmath
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 import wellposed.system
+from wellposed.admissibility import _gauss_rule
 from wellposed.errors import DomainError, PreconditionError, SpectrumError
 from wellposed.heat import _SPECTRUM_TOL
 from wellposed.signals import _GRID_REL_TOL, Signal, exp_conv_trajectory, phi1, resample, values_at
@@ -146,6 +148,22 @@ def dense_gram_constants(sys, t0):
         return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
     return top(g_obs), math.sqrt(top(g_ctl))
+
+
+def factor_gram_constants(sys, t0):
+    """M_obs and M_ctl from F F^H, with each Gram's Gauss-rule factor F, of
+    (Q r x N) rows sqrt(w_q) R_k o e^(alpha s_q), formed whole and F F^H
+    taken in one product."""
+    alpha = sys.gen.eigenvalues
+
+    def top(rows):
+        nodes, weights = _gauss_rule(alpha, t0, rows.shape[0])
+        decay = np.exp(np.outer(nodes, alpha))
+        decay *= np.sqrt(weights)[:, None]
+        factor = (decay[:, None, :] * rows).reshape(-1, alpha.shape[0])
+        return float(max(np.linalg.eigvalsh(factor @ factor.conj().T)[-1], 0.0))
+
+    return top(sys.observation), math.sqrt(top(sys.control.T))
 
 
 def m13_einsum(sys, gammas):

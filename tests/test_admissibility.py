@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cross_oracles import dense_gram_constants, dense_grams
+from cross_oracles import dense_gram_constants, dense_grams, factor_gram_constants
 from wellposed import admissibility, signals
 from wellposed.admissibility import (
     AdmissibilityReport,
@@ -291,11 +291,13 @@ def wide_system():
 SYSTEMS = {
     "heat512": lambda: build_heat_system(HeatConfig(n_modes=512)),
     "heat1024": lambda: build_heat_system(HeatConfig(n_modes=1024)),
+    "heat4096": lambda: build_heat_system(HeatConfig(n_modes=4096)),
     "near-axis": near_axis_system,
     "wide": wide_system,
     "heat64": lambda: build_heat_system(HeatConfig(n_modes=64)),
     "constants-mimo": lambda: spread_system(np.random.default_rng([0, 2]), 2048, 50.0),
     "oscillatory64": lambda: spread_system(np.random.default_rng(109), 64, 500.0),
+    "random300": lambda: random_system(np.random.default_rng(61), 300, 3, 3),
 }
 
 
@@ -391,9 +393,16 @@ def report_peak(sys):
         tracemalloc.stop()
 
 
+def factor_heights(sys, t0=1.0):
+    """Q r, the rows of each Gram's Gauss-rule factor: observation, control."""
+    alpha = sys.gen.eigenvalues
+    return [_gauss_rule(alpha, t0, r)[0].size * r for r in (sys.n_outputs, sys.n_inputs)]
+
+
 class TestKernelSymmetry:
-    """The kernel-side Gram keeps its bits under any row blocks, and the Gram
-    stage's memory stays a fraction of N^2 on the factor side and near one
+    """The kernel-side Gram keeps its bits under any row blocks, the factor
+    side its top eigenvalue under any mode blocks, and the Gram stage's
+    memory stays near a few (Q r)^2 matrices on the factor side and near one
     N x N array on the kernel side."""
 
     def test_kernel_independent_of_block_budget(self, monkeypatch):
@@ -408,6 +417,33 @@ class TestKernelSymmetry:
             grams.append(_kernel_gram(rows, alpha, 1.0))
         for gram in grams:
             assert np.array_equal(gram.view(np.uint64), grams[0].view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["wide", "random300"])
+    def test_factor_independent_of_block_budget(self, monkeypatch, name):
+        # blocks of 2 and 3 modes, the default, and every mode in one block,
+        # against F F^H with F formed whole: only the order of the sums over
+        # modes changes, and one block and one panel is the one-shot product
+        sys = SYSTEMS[name]()
+        n = sys.n_modes
+        default = signals._BLOCK_ELEMENTS
+        grams = (observation_gram, control_gram)
+        for gram, height, expected in zip(grams, factor_heights(sys),
+                                          factor_gram_constants(sys, 1.0)):
+            for budget in (2 * height, 3 * height, default, height * n):
+                monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", budget)
+                value = gram(sys, 1.0)
+                assert value == pytest.approx(expected, rel=1e-14)
+            assert value == expected
+
+    @pytest.mark.parametrize("name", ["constants-mimo", "heat4096"])
+    def test_factor_side_holds_no_factor(self, name):
+        # the (Q r)^2 matrix and a few block-sized arrays; a whole (Q r x N)
+        # factor, its conjugate, the Q x N exponentials and F F^H peaked at
+        # about 8 (Q r)^2 on constants-mimo
+        sys = SYSTEMS[name]()
+        height = max(factor_heights(sys))
+        assert height < sys.n_modes
+        assert report_peak(sys) < 3 * height**2 * 16 + 4 * signals._BLOCK_ELEMENTS * 16
 
     def test_report_memory_bounded(self):
         # both Grams take the factor side: the (Q r x N) factor, Q = 64 here,
