@@ -446,8 +446,8 @@ class TestKernelSymmetry:
         assert report_peak(sys) < 3 * height**2 * 16 + 4 * signals._BLOCK_ELEMENTS * 16
 
     def test_report_memory_bounded(self):
-        # both Grams take the factor side: the (Q r x N) factor, Q = 64 here,
-        # and its Q x N exponentials. tracemalloc does not see the buffers
+        # both Grams take the factor side, Q = 64 here: the (Q r)^2 matrix
+        # and one block of modes. tracemalloc does not see the buffers
         # LAPACK allocates, such as eigvalsh's work copy.
         n = 1024
         sys = random_system(np.random.default_rng(83), n, n_inputs=3, n_outputs=3)
