@@ -22,7 +22,7 @@ from .signals import (
     phi1,
     phi2,
     resample,
-    row_blocks,
+    sample_free_output,
     segment_weights,
 )
 from .spectral import as_state, resolvent_apply
@@ -62,41 +62,15 @@ class ResolventCheck:
         return all(entry.passed for entry in self.entries)
 
 
-def laplace_transform(sig: Signal, lam: complex,
-                      tail: tuple[float, float] | None = None
-                      ) -> tuple[np.ndarray, float]:
+def laplace_transform(sig: Signal, lam: complex) -> np.ndarray:
     """Integrate e^(-lam r) against the piecewise-linear signal over its grid,
-    which must start at t0 >= 0.
-
-    The segment integrals are exact for the interpolant, so the only error is
-    what the samples fail to see.  ``tail`` declares how the underlying
-    function continues beyond the grid as ``(omega, amplitude)`` with
-    ||s(r)|| <= amplitude * e^(omega r); the returned bound
-
-        e^((omega - Re lam) T) / (Re lam - omega) * amplitude
-
-    then majorizes the discarded integral over r > T.  ``tail=None`` asserts
-    the function vanishes there, making the transform exact up to sampling.
-    """
+    which must start at t0 >= 0, taking it to vanish past the grid. The segment
+    integrals are exact for the interpolant, so the only error is what the
+    samples fail to see; _tail_bound bounds the transform of a continuation."""
     lam = complex(lam)
     if sig.t0 < 0:
         raise DomainError(f"signal must start at t0 >= 0, got {sig.t0}")
-    if tail is not None:
-        omega_t, amp_t = _tail_envelope(lam, tail)
-    value = _transform_sum(_weights(sig.samples, sig.dt, lam), sig.t0, sig.dt, lam)
-    return value, 0.0 if tail is None else _tail_bound(lam, sig.end, omega_t, amp_t)
-
-
-def _tail_envelope(lam: complex, tail: tuple[float, float]) -> tuple[float, float]:
-    omega_t, amp_t = float(tail[0]), float(tail[1])
-    if amp_t < 0:
-        raise DomainError("tail envelope needs amplitude >= 0")
-    if lam.real <= 0:
-        raise DomainError(f"Re(lambda) must be > 0 when the signal continues, got {lam}")
-    if lam.real <= omega_t:
-        raise DomainError(
-            f"Re(lambda) = {lam.real} does not dominate tail rate {omega_t}")
-    return omega_t, amp_t
+    return _transform_sum(_weights(sig.samples, sig.dt, lam), sig.t0, sig.dt, lam)
 
 
 def _weights(samples: np.ndarray, h: float, lam: complex) -> np.ndarray:
@@ -112,7 +86,8 @@ def _transform_sum(weights: np.ndarray, t0: float, h: float, lam: complex) -> np
 
 
 def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
-    """Transform of the envelope amp * e^(omega r) over r > t_end."""
+    """Transform of the envelope amp * e^(omega r) over r > t_end, Re lam > omega,
+    which majorizes that of a signal with ||s(r)|| <= amp * e^(omega r) there."""
     return float(np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
 
 
@@ -124,28 +99,17 @@ def _free_output(alpha: np.ndarray, c: np.ndarray, x: np.ndarray, t_max: float,
     estimate, so the initial layer [0, 24 dt] is sampled on a fine sub-grid
     sized so that past it every mode is either grid-resolved (|Re a| dt <= 1/2)
     or damped below e^(-12) of its initial amplitude. The rest steps by dt.
-    A block of rows starting at tau_a is e^(A tau_a) x times one table of
-    e^(alpha j h) per piece, so each row costs one complex product per mode,
-    not one exp.
+    Each piece is signals.sample_free_output's, the sampler the Lax-Phillips
+    maps run.
     """
     stiff = float(np.max(-alpha.real))
     k0 = _LAYER_STEPS if stiff * dt > 0.5 else 0
     t_split = k0 * dt
-    grids = [(t_split, dt, t_split + dt * np.arange(int(round(t_max / dt)) - k0 + 1))]
+    grids = [(t_split, dt, int(round(t_max / dt)) - k0 + 1)]
     if k0:
         n1 = int(math.ceil(t_split * 4.0 * stiff))
-        grids.insert(0, (0.0, t_split / n1, t_split / n1 * np.arange(n1 + 1)))
-    pieces = []
-    for tau0, h, tau in grids:
-        # only the K outputs are stored; the (rows, N) modes live one block at a time
-        y = np.empty((tau.size, c.shape[0]), dtype=complex)
-        blocks = row_blocks(tau.size, alpha.shape[0])
-        # e^(alpha j h) for j below the longest block, shared by every block
-        table = np.exp(np.outer(h * np.arange(max(b - a for a, b in blocks)), alpha))
-        for a, b in blocks:
-            y[a:b] = (table[:b - a] * (np.exp(alpha * tau[a]) * x)) @ c.T
-        pieces.append((tau0, h, y))
-    return pieces
+        grids.insert(0, (0.0, t_split / n1, n1 + 1))
+    return [(tau0, h, sample_free_output(alpha, c, x, tau0, h, n)) for tau0, h, n in grids]
 
 
 def _offset_entry(name: str, pieces: list[tuple[float, float, np.ndarray]],
@@ -177,7 +141,7 @@ def _offset_entry(name: str, pieces: list[tuple[float, float, np.ndarray]],
             value += _transform_sum(weights, tau0 - s, h, lam)
             qb += _quad_budget(curv, tau0 - s, h, lam)
         # the end of the last run, (tau_last - s) + (n - 1) dt, as Signal.end forms it
-        tb = _tail_bound(lam, tau_last - s + (n - 1) * dt, *_tail_envelope(lam, (omega, amp)))
+        tb = _tail_bound(lam, tau_last - s + (n - 1) * dt, omega, amp)
         rows.append((float(np.max(np.abs(value - np.exp(lam * s) * closed))), qb, tb))
     residual, quad, tail = (max(col) for col in zip(*rows))
     return EntryResidual(name, residual, quad, tail, all(r <= q + t for r, q, t in rows))
@@ -243,7 +207,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     rows to r13's (steps + 1, K) samples, seeds r23's axis-0 sum with the
     running N-vector (the same row-by-row sum as over the whole trajectory when
     N > 1; one mode's column is summed pairwise per block and can differ in the
-    last bits), stores each interior row's ||d2|| * decay for one sum at the
+    last bits), stores each interior row's ||d2|| for one _quad_budget at the
     end, and keeps only the rows the tail envelopes need. The drive u B^T is
     formed over the input's support only, since past it g_k is zero.
 
@@ -283,7 +247,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     # both sides must see the same interpolant, so the closed forms read the
     # input through its dt-grid sampling (identical to u on aligned grids)
     u_fine = resample(u, 0.0, dt, int(round(horizon / dt)) + 1)
-    u_hat, _ = laplace_transform(u_fine, lam)
+    u_hat = laplace_transform(u_fine, lam)
     state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
 
     # r12: free evolution at fixed offsets, freed before the forced trajectory streams
@@ -306,7 +270,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     p1, p2 = phi1(w), phi2(w)
     n = sys.n_modes
     num23 = np.zeros(n, dtype=complex)
-    curv23 = np.empty(max(steps - 1, 0))
+    curv23 = np.empty((max(steps - 1, 0), 1))
     ends = {}
     k0, wide = 0, n
     for block in exp_conv_blocks(alpha, drive, steps):
@@ -340,9 +304,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         d2 = _second_differences(v)
         nd = d2.shape[0]
         sq[:nd, :wide] = np.multiply(np.conjugate(d2), d2, out=d2).real
-        curv23[lo - 1:lo - 1 + nd] = (np.sqrt(np.add.reduce(sq[:nd], axis=1))
-                                      * np.exp(-lam.real * (dt * np.arange(lo, lo + nd))))
-        back = block[-2:].copy()
+        curv23[lo - 1:lo - 1 + nd, 0] = np.sqrt(np.add.reduce(sq[:nd], axis=1))
+        # at the live width: past it the next block's rows stay zero
+        back = block[-2:, :wide].copy()
         k0 = k1
     del block, v, sums, d2, back, sq  # r13 runs without the loop's arrays
 
@@ -351,8 +315,8 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     amp23 = float(np.linalg.norm(ends[steps])) * np.exp(-omega * t_end)
     tail23 = _tail_bound(lam, t_end, omega, amp23)
     res23 = float(np.linalg.norm(num23 - state_hat))
-    # _quad_budget's estimate, with the norm over modes in place of the worst component
-    quad23 = _QUAD_SAFETY * (dt / 12.0) * float(np.sum(curv23))
+    # the norm over modes in place of the worst component
+    quad23 = _quad_budget(curv23, 0.0, dt, lam)
 
     # r13: forced output block at fixed offsets
     amps13 = [float(np.sum(col_norm * np.abs(ends[k]))) * np.exp(-omega * (-s + dt * k))

@@ -24,6 +24,7 @@ from .signals import (
     lp_norm,
     read_signal_csv,
     resample,
+    sample_free_output,
     values_at,
     write_signal_csv,
 )
@@ -79,7 +80,8 @@ def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:
 
 def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
     """Past-output block of the free evolution: s -> c . (e^(alpha (t+s)) x)
-    sampled on [-t, 0] with target step dt; identically zero for t = 0."""
+    sampled on [-t, 0] with target step dt by signals.sample_free_output, which
+    holds O(rows K), not every mode at every sample; zero for t = 0."""
     _check_times(t)
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt}")
@@ -88,9 +90,8 @@ def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
         return Signal(0.0, dt, np.zeros((1, sys.n_outputs)))
     steps = max(1, round(t / dt))
     h = t / steps
-    tau = h * np.arange(steps + 1)
-    modes = np.exp(np.outer(tau, sys.gen.eigenvalues)) * xv[None, :]
-    return Signal(-t, h, modes @ sys.observation.T)
+    return Signal(-t, h, sample_free_output(sys.gen.eigenvalues, sys.observation, xv,
+                                            0.0, h, steps + 1))
 
 
 def control_to_state(sys: SpectralSystem, t, u: Signal) -> np.ndarray:
@@ -152,7 +153,6 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
             "enlarge the window"
         )
     x = as_state(xs.state, sys.n_modes)
-    alpha = sys.gen.eigenvalues
 
     s_grid = past.times()
     new_past = np.zeros((s_grid.shape[0], sys.n_outputs), dtype=complex)
@@ -161,8 +161,10 @@ def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> Ext
     tau = t + s_grid[~old_region]
     # the drift at every fresh tau and, in the last row, at tau = t for the state
     drift = control_to_state(sys, np.append(tau, t), u)
-    free = np.exp(np.outer(tau, alpha)) * x[None, :]
-    new_past[~old_region] = ((free + drift[:-1]) @ sys.observation.T
+    # the fresh samples lie on the past-output grid, from tau[0] by past.dt
+    free = sample_free_output(sys.gen.eigenvalues, sys.observation, x, tau[0], past.dt,
+                              tau.shape[0])
+    new_past[~old_region] = (free + drift[:-1] @ sys.observation.T
                              + values_at(u, tau) @ sys.feedthrough.T)
     past_out = Signal(past.t0, past.dt, new_past)
     new_state = semigroup_apply(sys.gen, t, x) + drift[-1]

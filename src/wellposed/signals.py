@@ -400,8 +400,27 @@ def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
         _floor(live)
         if live is not block:
             block[:, :live.shape[1]] = live
-        carry = block[-1].copy()
+        # at the live width: past it the next block's columns stay zero
+        carry = live[-1].copy()
         yield block
+
+
+def sample_free_output(alpha, c, x, tau0: float, h: float, n: int) -> np.ndarray:
+    """Samples of tau -> c e^(alpha tau) x, the output of the free decay of the
+    diagonal state x, on the grid tau0 + h k, k = 0..n-1; shape (n, K).
+
+    Only the K outputs are stored; the (rows, N) modes live one block of rows
+    (see row_blocks) at a time. A block starting at tau_a is e^(alpha tau_a) x
+    times one table of e^(alpha j h), shared by every block, so each row costs
+    one complex product per mode, not one exp.
+    """
+    y = np.empty((n, c.shape[0]), dtype=complex)
+    blocks = row_blocks(n, alpha.shape[0])
+    # e^(alpha j h) for j below the longest block
+    table = np.exp(np.outer(h * np.arange(max(b - a for a, b in blocks)), alpha))
+    for a, b in blocks:
+        y[a:b] = (table[:b - a] * (np.exp(alpha * (tau0 + h * a)) * x)) @ c.T
+    return y
 
 
 def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cross_oracles import control_to_state_ibp, input_output_map_intxp
-from wellposed import laxphillips, signals
+from wellposed import laplace, laxphillips, signals
 from wellposed.errors import (
     DimensionError,
     DomainError,
@@ -24,7 +24,15 @@ from wellposed.laxphillips import (
     semigroup_law_residual,
     step_extended_state,
 )
-from wellposed.signals import Signal, exp_conv_trajectory, lp_norm, resample, values_at
+from wellposed.laplace import verify_resolvent_entries
+from wellposed.signals import (
+    Signal,
+    exp_conv_trajectory,
+    lp_norm,
+    resample,
+    sample_free_output,
+    values_at,
+)
 from wellposed.spectral import semigroup_apply
 from wellposed.system import build_system
 
@@ -78,6 +86,49 @@ def test_observe_scalar_oracle():
     assert sig.t0 == -1.0 and sig.end == pytest.approx(0.0, abs=1e-15)
     assert values_at(sig, [0.0])[0, 0] == pytest.approx(1.0 / _E, rel=1e-14)
     assert values_at(sig, [-1.0])[0, 0] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_observe_memory_holds_outputs_not_modes():
+    # heat N = 256 over 10 001 samples: every mode at every sample would take
+    # 41 MB; the sampler holds the outputs and a few blocks of rows x modes
+    sys = _heat(256)
+    x = np.random.default_rng(8).standard_normal(256)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sig = observe_trajectory(sys, 10.0, x, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sig.n_samples == 10001
+    assert peak <= 8e6
+
+
+def test_free_output_has_one_sampler(monkeypatch):
+    # r12 (once per piece), observe_trajectory and the fresh block of a step
+    # all sample the free output through the one function in signals
+    real = signals.sample_free_output
+    calls = []
+
+    def spy(alpha, c, x, tau0, h, n):
+        calls.append(n)
+        return real(alpha, c, x, tau0, h, n)
+
+    for module in (laplace, laxphillips):
+        assert module.sample_free_output is real
+        monkeypatch.setattr(module, "sample_free_output", spy)
+    sys = _heat(16)
+    xs = _heat_step_state(16, 1e-2, 4.0)
+    # heat 16 at dt = 1e-2 has a stiff layer of 217 fine steps before its dt grid
+    assert verify_resolvent_entries(sys, 1.0, xs.state, xs.future_input,
+                                    t_max=10.0, dt=1e-2).passed
+    assert calls == [218, 977]
+    calls.clear()
+    observe_trajectory(sys, 0.5, xs.state, 1e-2)
+    assert calls == [51]
+    calls.clear()
+    step_extended_state(sys, 0.5, xs)
+    assert calls == [50]
 
 
 def test_observe_matches_pointwise_formula():
@@ -302,8 +353,9 @@ def test_step_on_grid_matches_trajectory_gather_bitwise():
         tau = t + s_grid[fresh]
         v = Signal(0.0, dt, resample(xs.future_input, 0.0, dt, q + 1).samples @ sys.control.T)
         drift = exp_conv_trajectory(sys.gen.eigenvalues, v, q)[np.rint(tau / dt).astype(int)]
-        free = np.exp(np.outer(tau, sys.gen.eigenvalues)) * xs.state[None, :]
-        want = ((free + drift) @ sys.observation.T
+        free = sample_free_output(sys.gen.eigenvalues, sys.observation, xs.state,
+                                  tau[0], dt, tau.shape[0])
+        want = (free + drift @ sys.observation.T
                 + values_at(xs.future_input, tau) @ sys.feedthrough.T)
         np.testing.assert_array_equal(out.past_output.samples[fresh], want)
         np.testing.assert_array_equal(out.past_output.samples[~fresh],

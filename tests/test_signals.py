@@ -546,6 +546,25 @@ def test_conv_blocks_stop_at_last_live_column(monkeypatch, spectrum, block_rows)
     assert min(widths, default=n) == (2 if block_rows else n)
 
 
+@pytest.mark.parametrize("spectrum", sorted(_DYING_SPECTRA))
+@pytest.mark.parametrize("block_rows", [7, 250, None])
+def test_free_output_rows_agree_across_layouts(monkeypatch, spectrum, block_rows):
+    # each block starts from e^(alpha tau_a) x and steps by a table of
+    # e^(alpha j h), so the rows round differently under each layout, and
+    # from one exp per row: here by under 5e-14 relative over 40 001 rows to
+    # t = 40. The resolvent check's r12 residual, a difference of their
+    # transforms, moves by up to 5e-12 relative.
+    alpha = _DYING_SPECTRA[spectrum]
+    n = alpha.shape[0]
+    c = np.stack([np.linspace(1.0, 0.3, n), np.linspace(-0.2, 0.9, n) * (1.0 + 0.5j)])
+    x = np.linspace(1.0, 0.2, n) * (1.0 - 0.5j)
+    want = (np.exp(np.outer(1e-3 * np.arange(40001), alpha)) * x) @ c.T
+    if block_rows:
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * n)
+    got = signals.sample_free_output(alpha, c, x, 0.0, 1e-3, 40001)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
 @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
 def test_conv_trajectory_ignores_zero_tail_of_drive(monkeypatch, spectrum):
     # a caller may trim the drive after its last nonzero sample or not: the
