@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .signals import (
     _GRID_REL_TOL,
+    _forced_rows,
     _live_width,
     Signal,
     exp_conv_blocks,
@@ -208,8 +209,8 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     running N-vector (the same row-by-row sum as over the whole trajectory when
     N > 1; one mode's column is summed pairwise per block and can differ in the
     last bits), stores each interior row's ||d2|| for one _quad_budget at the
-    end, and keeps only the rows the tail envelopes need. The drive u B^T is
-    formed over the input's support only, since past it g_k is zero.
+    end, and keeps only the rows the tail envelopes need. The kernel forms the
+    drive u B^T per block over u's support, found on u's rows (see signals).
 
     r23's passes run with the operations and order of the sums over the
     whole trajectory. Once the rows they read are all free decay, where a
@@ -246,8 +247,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     col_norm = np.linalg.norm(c, axis=0)
     # both sides must see the same interpolant, so the closed forms read the
     # input through its dt-grid sampling (identical to u on aligned grids)
-    u_fine = resample(u, 0.0, dt, int(round(horizon / dt)) + 1)
-    u_hat = laplace_transform(u_fine, lam)
+    steps = int(round(t_max / dt))
+    u_grid = resample(u, 0.0, dt, steps + 1)
+    u_hat = laplace_transform(Signal(0.0, dt, u_grid.samples[:round(horizon / dt) + 1]), lam)
     state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
 
     # r12: free evolution at fixed offsets, freed before the forced trajectory streams
@@ -258,14 +260,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
                             lam, omega, t_max, dt)
 
     # r23 and r13: one forced trajectory, streamed in row blocks
-    steps = int(round(t_max / dt))
     r13_steps = [int(round((t_max + s) / dt)) for s in _S_VALUES]
-    u_grid = resample(u, 0.0, dt, steps + 1).samples
-    # past the input's last nonzero sample the drive is zero and forms no g_k
-    live = np.flatnonzero(np.any(u_grid != 0.0, axis=1))
-    n_drive = min(int(live[-1]) + 2, steps + 1) if live.size else 1
-    drive = Signal(0.0, dt, u_grid[:n_drive] @ sys.control.T)
-    y = u_grid @ sys.feedthrough.T
+    n_drive = _forced_rows(u_grid, steps) + 1  # the rows that may hold a g_k
+    y = u_grid.samples @ sys.feedthrough.T
     w = lam * dt
     p1, p2 = phi1(w), phi2(w)
     n = sys.n_modes
@@ -273,7 +270,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     curv23 = np.empty((max(steps - 1, 0), 1))
     ends = {}
     k0, wide = 0, n
-    for block in exp_conv_blocks(alpha, drive, steps):
+    for block in exp_conv_blocks(alpha, sys.control, u_grid, steps):
         k1 = k0 + block.shape[0]
         y[k0:k1] += block @ c.T
         for k in r13_steps + [steps]:

@@ -19,8 +19,8 @@ from .signals import (
     _GRID_REL_TOL,
     Signal,
     _check_times,
+    exp_conv_blocks,
     exp_conv_final,
-    exp_conv_trajectory,
     lp_norm,
     read_signal_csv,
     resample,
@@ -69,15 +69,6 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
     as_state(xs.state, sys.n_modes)
 
 
-def _mixed(sys: SpectralSystem, u: Signal, t: float) -> Signal:
-    # v_n(r) = sum_j b_nj u_j(r), still on u's grid, over the samples that a
-    # convolution up to t reaches
-    if u.width != sys.n_inputs:
-        raise DimensionError(f"input has width {u.width}, expected {sys.n_inputs}")
-    n = min(u.n_samples, max(1, int(np.floor((t - u.t0) / u.dt + _GRID_REL_TOL)) + 2))
-    return Signal(u.t0, u.dt, u.samples[:n] @ sys.control.T)
-
-
 def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
     """Past-output block of the free evolution: s -> c . (e^(alpha (t+s)) x)
     sampled on [-t, 0] with target step dt by signals.sample_free_output, which
@@ -101,7 +92,7 @@ def control_to_state(sys: SpectralSystem, t, u: Signal) -> np.ndarray:
     time, as exp_conv_final does.
     """
     _check_times(t)
-    return exp_conv_final(sys.gen.eigenvalues, _mixed(sys, u, np.max(t, initial=0.0)), t)
+    return exp_conv_final(sys.gen.eigenvalues, sys.control, u, t)
 
 
 def input_output_map(sys: SpectralSystem, t: float, u: Signal,
@@ -110,8 +101,8 @@ def input_output_map(sys: SpectralSystem, t: float, u: Signal,
 
         y(s) = c . int_0^{t+s} e^(alpha (t+s-r)) v(r) dr + D u(t+s),
 
-    with the convolution evaluated by the exact one-step recurrence on the
-    sample grid.
+    v = B u on u's support, found on u's rows; each exp_conv_blocks block of
+    the exact recurrence adds its K output rows, so no N-wide array is held.
     """
     _check_times(t)
     if u.width != sys.n_inputs:
@@ -124,11 +115,10 @@ def input_output_map(sys: SpectralSystem, t: float, u: Signal,
         return Signal(0.0, dt, np.zeros((1, sys.n_outputs)))
     steps = max(1, round(t / dt))
     h = t / steps
-    uvals = resample(u, 0.0, h, steps + 1).samples
-    traj = exp_conv_trajectory(sys.gen.eigenvalues, Signal(0.0, h, uvals @ sys.control.T),
-                               steps)
-    y = traj @ sys.observation.T + uvals @ sys.feedthrough.T
-    return Signal(-t, h, y)
+    uvals = resample(u, 0.0, h, steps + 1)
+    y = np.concatenate([block @ sys.observation.T for block in
+                        exp_conv_blocks(sys.gen.eigenvalues, sys.control, uvals, steps)])
+    return Signal(-t, h, y + uvals.samples @ sys.feedthrough.T)
 
 
 def step_extended_state(sys: SpectralSystem, t: float, xs: ExtendedState) -> ExtendedState:

@@ -8,7 +8,9 @@ segment integral
 
 h = r1 - r0, which is exact for the linear interpolant of (u0, u1). All
 discretization error therefore comes from representing a signal on its grid,
-never from quadrature.
+never from quadrature. The kernels take the input u and the control matrix B
+and form the drive u B^T a block of rows at a time, over u's support as found
+on u's rows.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise DomainError(f"t0 must be finite, got {self.t0}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         arr = np.asarray(self.samples)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -165,16 +169,23 @@ class Signal:
 
 def values_at(sig: Signal, ts) -> np.ndarray:
     """Interpolant values at times ts, zero outside the grid. Shape (len(ts), d)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n, d = sig.samples.shape
-    pos = (ts - sig.t0) / sig.dt
-    inside = (pos >= -_GRID_REL_TOL) & (pos <= n - 1 + _GRID_REL_TOL)
-    if n == 1:
+    k, frac, inside = _knots(sig, ts)
+    if sig.n_samples == 1:
         out = np.where(inside[:, None], sig.samples[0], 0.0)
         return out.astype(sig.samples.dtype)
-    k = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    frac = np.clip(pos - k, 0.0, 1.0)
-    vals = (1.0 - frac)[:, None] * sig.samples[k] + frac[:, None] * sig.samples[k + 1]
+    return _blend(sig.samples[k], sig.samples[k + 1], frac, inside)
+
+
+def _knots(sig: Signal, ts):
+    # values_at's knot k at or below each time, weight of knot k + 1, grid mask
+    pos = (np.atleast_1d(np.asarray(ts, dtype=float)) - sig.t0) / sig.dt
+    inside = (pos >= -_GRID_REL_TOL) & (pos <= sig.n_samples - 1 + _GRID_REL_TOL)
+    k = np.clip(np.floor(pos).astype(int), 0, max(sig.n_samples - 2, 0))
+    return k, np.clip(pos - k, 0.0, 1.0), inside
+
+
+def _blend(v0: np.ndarray, v1: np.ndarray, frac: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    vals = (1.0 - frac)[:, None] * v0 + frac[:, None] * v1
     vals[~inside] = 0.0
     return vals
 
@@ -216,86 +227,94 @@ def lp_norm(sig: Signal, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def _paired(alpha: np.ndarray, sig: Signal) -> None:
-    if sig.width != alpha.shape[0]:
-        raise DimensionError(
-            f"signal width {sig.width} does not match {alpha.shape[0]} modes"
-        )
-
-
-def exp_conv_final(alpha, sig: Signal, t) -> np.ndarray:
-    """int_0^T e^(alpha_n (T - r)) v_n(r) dr for each anchor T in t, v_n the
-    paired column of sig.
+def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
+    """int_0^T e^(alpha_n (T - r)) v_n(r) dr for each anchor T in t, v = B u
+    with B = b the N x M control matrix and u the M-channel input.
 
     Exact on the interpolant (zero outside the grid), so the integral runs
-    over [max(0, t0), min(T, end)]. One trajectory of the exp_conv_blocks
-    recurrence, from the first knot of that interval to the last knot any
-    anchor needs, gives the integral up to each knot. An anchor takes the row
-    at the knot at or below its clipped limit, decays it to T and adds its
-    partial segments before the first knot and after that knot, formed
-    _ANCHOR_ROWS anchors at a time. An anchor within _GRID_REL_TOL * dt of a
+    over [max(0, t0), min(T, end)]. One exp_conv_blocks trajectory, from the
+    first knot of that interval to the last knot any anchor needs, gives the
+    integral up to each knot, with u's support found on u's rows. An anchor
+    takes the row at the knot at or below its clipped limit as its block
+    streams, decays it to T and adds its partial segments before the first
+    knot and after that knot, _ANCHOR_ROWS anchors at a time from one product
+    of u B^T at the knots they read. An anchor within _GRID_REL_TOL * dt of a
     knot is taken at the knot. Parts below 2.2e-308 read as +0.0, as in
     exp_conv_blocks, since decay to an anchor past the grid can reach them.
     Anchors must be finite and >= 0. Returns shape (N,) for a scalar t and
     (len(t), N) for a 1-d array.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    _paired(alpha, sig)
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise DimensionError(f"anchors must be a scalar or 1-d, got shape {ts.shape}")
     _check_times(ts)
-    n, dt, tol = sig.n_samples, sig.dt, _GRID_REL_TOL * sig.dt
+    n, dt, tol = u.n_samples, u.dt, _GRID_REL_TOL * u.dt
     T = np.atleast_1d(ts)
-    knot = sig.t0 + np.clip(np.rint((T - sig.t0) / dt), 0, n - 1) * dt
+    knot = u.t0 + np.clip(np.rint((T - u.t0) / dt), 0, n - 1) * dt
     T = np.where(np.abs(T - knot) <= tol, knot, T)
-    a = max(0.0, sig.t0)
-    b = np.minimum(T, sig.end)
-    ka = min(max(int(np.ceil((a - sig.t0) / dt - _GRID_REL_TOL)), 0), n - 1)
-    kb = np.clip(np.floor((b - sig.t0) / dt + _GRID_REL_TOL).astype(int), 0, n - 1)
-    r_ka = sig.t0 + ka * dt
-    r_kb = sig.t0 + kb * dt
-    live = b > a + tol
-    # row of the recurrence from knot ka, or -1 when no knot lies in [a, b]
+    a = max(0.0, u.t0)
+    end = np.minimum(T, u.end)
+    ka = min(max(int(np.ceil((a - u.t0) / dt - _GRID_REL_TOL)), 0), n - 1)
+    kb = np.clip(np.floor((end - u.t0) / dt + _GRID_REL_TOL).astype(int), 0, n - 1)
+    r_ka = u.t0 + ka * dt
+    r_kb = u.t0 + kb * dt
+    live = end > a + tol
+    # row of the recurrence from knot ka, or -1 when no knot lies in [a, end]
     rows = np.where(live & (kb >= ka), kb - ka, -1)
 
     last = int(np.max(rows, initial=0))
-    # a grid that starts at 0 is its own drive, without a shifted copy
-    drive = sig if sig.t0 == 0.0 else Signal(0.0, dt, sig.samples[ka:ka + last + 1])
-    out = exp_conv_trajectory(alpha, drive, last)[np.maximum(rows, 0)]
-    out[rows < 0] = 0.0
+    order, k0 = np.argsort(rows), 0
+    for block in exp_conv_blocks(alpha, b, Signal(0.0, dt, u.samples[ka:ka + last + 1]), last):
+        if not k0:
+            # made once the first block's segment integrals are freed
+            out = np.zeros((T.shape[0], alpha.shape[0]), dtype=complex)
+        lo, hi = np.searchsorted(rows[order], [k0, k0 + block.shape[0]])
+        out[order[lo:hi]] = block[rows[order[lo:hi]] - k0]
+        k0 += block.shape[0]
+    del block  # no block outlives the stream
     head = live & (a < r_ka - tol)
-    tail = (rows >= 0) & (b > r_kb + tol)
-    va = values_at(sig, [a])
+    tail = (rows >= 0) & (end > r_kb + tol)
     for lo in range(0, T.shape[0], _ANCHOR_ROWS):
         c = np.arange(lo, min(lo + _ANCHOR_ROWS, T.shape[0]))
         i = c[(rows[c] >= 0) & (T[c] != r_kb[c])]
         out[i] *= np.exp(np.outer(T[i] - r_kb[i], alpha))
-        # [a, first knot], or [a, b] when no knot lies between them
-        i = c[head[c]]
-        v1 = np.where(rows[i, None] >= 0, sig.samples[ka], values_at(sig, b[i]))
-        out[i] += exp_segment_integral(alpha, T[i, None], a, np.minimum(b, r_ka)[i, None],
-                                       va, v1)
-        # [knot at or below b, b]
-        i = c[tail[c]]
-        out[i] += exp_segment_integral(alpha, T[i, None], r_kb[i, None], b[i, None],
-                                       sig.samples[kb[i]], values_at(sig, b[i]))
+        c = c[head[c] | tail[c]]
+        if not c.size:
+            continue
+        # u B^T at knots ka and kb, and at a and each limit as values_at blends
+        # it, from one product of the two or more distinct knots' rows
+        k, frac, inside = _knots(u, np.append(a, end[c]))
+        knots, pick = np.unique(np.concatenate(([ka], kb[c], k, k + 1)), return_inverse=True)
+        v, m = u.samples[knots] @ b.T, c.size + 1
+        at_knot, at_time = v[pick[:m]], _blend(v[pick[m:2 * m]], v[pick[2 * m:]], frac, inside)
+        # [a, first knot], or [a, end] when no knot lies between them
+        i = head[c]
+        v1 = np.where(rows[c[i], None] >= 0, at_knot[0], at_time[1:][i])
+        out[c[i]] += exp_segment_integral(alpha, T[c[i], None], a,
+                                          np.minimum(end, r_ka)[c[i], None], at_time[:1], v1)
+        # [knot at or below end, end]
+        i = tail[c]
+        out[c[i]] += exp_segment_integral(alpha, T[c[i], None], r_kb[c[i], None],
+                                          end[c[i], None], at_knot[1:][i], at_time[1:][i])
     _floor(out)
     return out if ts.ndim else out[0]
 
 
-def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
-    """Yield x(k dt) = int_0^{k dt} e^(alpha (k dt - r)) v(r) dr on sig's grid,
-    k = 0..n_steps, as consecutive blocks of rows (see row_blocks).
+def exp_conv_blocks(alpha, b: np.ndarray, u: Signal, n_steps: int):
+    """Yield x(k dt) = int_0^{k dt} e^(alpha (k dt - r)) B u(r) dr on u's grid,
+    k = 0..n_steps, as consecutive blocks of rows (see row_blocks), with
+    B = b the N x M control matrix and u the M-channel input.
 
     Evaluated by the exact one-step recurrence x_{k+1} = e^(alpha dt) x_k + g_k,
-    stepped in time and vectorised over modes. Each block forms its own segment
-    integrals g_k and carries its last row into the next, so no
-    (n_steps + 1, N) array is held. Past the row after sig's last nonzero
-    sample every g_k is zero: those free rows x_{k+1} = e^(alpha dt) x_k form
-    no g_k and take no Python step, but one multiply.accumulate per block, in
-    place. They equal the stepped rows bit for bit on a real spectrum, and
-    the rows keep their bits whatever zero tail sig carries.
+    stepped in time and vectorised over modes. Each block forms its rows of
+    the drive u B^T, their segment integrals g_k, and carries its last row
+    into the next, so no (n_steps + 1, N) array is held. Past the row after
+    u's last nonzero sample, a nonzero u_k with B u_k = 0 included, every g_k
+    is zero: those free rows x_{k+1} = e^(alpha dt) x_k form no drive and take
+    no Python step, but one multiply.accumulate per block, in place. They
+    equal the stepped rows bit for bit on a real spectrum, and the rows keep
+    their bits whatever zero tail u carries.
 
     Every real or imaginary part below the smallest normal float, 2.2e-308,
     is returned as +0.0, and the next block continues from the floored row.
@@ -314,16 +333,26 @@ def exp_conv_blocks(alpha, sig: Signal, n_steps: int):
     spectrum a cross term of e^(alpha dt) x_k, on a real one only a nonzero
     g_k that small, so a real spectrum under a drive of ordinary size keeps
     every bit.
-    Requires sig.t0 == 0; the arguments are checked on the call, before the
+    Requires u.t0 == 0; the arguments are checked on the call, before the
     first block.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    _paired(alpha, sig)
-    if sig.t0 != 0.0:
-        raise DomainError(f"trajectory convolution requires grid start 0, got {sig.t0}")
+    if np.shape(b) != (alpha.shape[0], u.width):
+        raise DimensionError(f"control matrix of shape {np.shape(b)} does not map "
+                             f"{u.width} inputs to {alpha.shape[0]} modes")
+    if u.t0 != 0.0:
+        raise DomainError(f"trajectory convolution requires grid start 0, got {u.t0}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0, got {n_steps}")
-    return _conv_blocks(alpha, sig, n_steps)
+    return _conv_blocks(alpha, b, u, n_steps)
+
+
+def _forced_rows(u: Signal, n_steps: int) -> int:
+    # the last row of exp_conv_blocks with a g_k, the row after u's last
+    # nonzero sample: found on the samples, not their count, so a zero tail
+    # keeps the bits (a stepped and an accumulated free row can differ)
+    live = np.flatnonzero(np.any(u.samples[:n_steps + 1] != 0.0, axis=1))
+    return min(int(live[-1]) + 1, u.n_samples - 1) if live.size else 0
 
 
 def _floor(arr: np.ndarray) -> None:
@@ -355,24 +384,20 @@ def _step_rows(rows: list[np.ndarray], decay: np.ndarray) -> None:
         cur += decay * prev
 
 
-def _conv_blocks(alpha: np.ndarray, sig: Signal, n_steps: int):
-    w = alpha * sig.dt
+def _conv_blocks(alpha: np.ndarray, b: np.ndarray, u: Signal, n_steps: int):
+    w = alpha * u.dt
     p1 = phi1(w)
     p2 = phi2(w)
     decay = np.exp(w)
-    # rows up to `forced`, the row after the last nonzero sample, carry a g_k;
-    # every later row is free decay. Taken from the samples, not their count,
-    # so a zero tail gives the bits of the trimmed drive: on complex spectra a
-    # stepped row 0 + decay x_k and an accumulated one differ in the last bit.
-    live = np.flatnonzero(np.any(sig.samples[:n_steps + 1] != 0.0, axis=1))
-    forced = min(int(live[-1]) + 1, sig.n_samples - 1) if live.size else 0
+    # rows up to `forced` carry a g_k; every later row is free decay
+    forced = _forced_rows(u, n_steps)
     carry = None
     for k0, k1 in row_blocks(n_steps + 1, alpha.shape[0]):
         block = np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
         # row k holds g_{k-1} until the step below turns it into x_k
         lo, hi = max(k0, 1), min(k1, forced + 1)
         if hi > lo:
-            block[lo - k0:hi - k0] = segment_weights(sig.samples[lo - 1:hi], sig.dt, p1, p2)
+            block[lo - k0:hi - k0] = segment_weights(u.samples[lo - 1:hi] @ b.T, u.dt, p1, p2)
         if hi > k0:
             if k0 > 1:
                 block[0] += decay * carry
@@ -421,20 +446,6 @@ def sample_free_output(alpha, c, x, tau0: float, h: float, n: int) -> np.ndarray
     for a, b in blocks:
         y[a:b] = (table[:b - a] * (np.exp(alpha * (tau0 + h * a)) * x)) @ c.T
     return y
-
-
-def exp_conv_trajectory(alpha, sig: Signal, n_steps: int) -> np.ndarray:
-    """The rows of exp_conv_blocks gathered into one (n_steps + 1, N) array;
-    a trajectory that fits in one block is that block, not a copy of it."""
-    blocks = exp_conv_blocks(alpha, sig, n_steps)
-    if len(row_blocks(n_steps + 1, sig.width)) == 1:
-        return next(blocks)
-    out = np.empty((n_steps + 1, sig.width), dtype=complex)
-    k = 0
-    for block in blocks:
-        out[k:k + block.shape[0]] = block
-        k += block.shape[0]
-    return out
 
 
 def _is_effectively_real(arr: np.ndarray) -> bool:

@@ -40,6 +40,12 @@ class DiagonalGenerator:
     omega: float = -1.0
 
     def __post_init__(self):
+        # NaN fails every comparison, so each bound states what must hold; a
+        # declared shift is checked before the eigenvalues it produced
+        if not (np.isfinite(self.k) and self.k >= 1.0):
+            raise DomainError(f"stability constant K must be finite and >= 1, got {self.k}")
+        if not (np.isfinite(self.shift) and self.shift >= 0.0):
+            raise DomainError(f"shift must be finite and >= 0, got {self.shift}")
         eig = np.asarray(self.eigenvalues, dtype=complex)
         if eig.ndim != 1 or eig.size == 0:
             raise DimensionError("eigenvalues must form a nonempty 1-d sequence")
@@ -52,10 +58,6 @@ class DiagonalGenerator:
                 f"Re(alpha) <= omega violated: max Re(alpha) = {np.max(eig.real)}, "
                 f"omega = {self.omega} (declare a shift that stabilizes the spectrum)"
             )
-        if self.k < 1.0:
-            raise DomainError(f"stability constant K must be >= 1, got {self.k}")
-        if self.shift < 0.0:
-            raise DomainError(f"shift must be >= 0, got {self.shift}")
         eig.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
 

@@ -21,7 +21,19 @@ import wellposed.system
 from wellposed.admissibility import _gauss_rule
 from wellposed.errors import DomainError, PreconditionError, SpectrumError
 from wellposed.heat import _SPECTRUM_TOL
-from wellposed.signals import _GRID_REL_TOL, Signal, exp_conv_trajectory, phi1, resample, values_at
+from wellposed.signals import (
+    _GRID_REL_TOL,
+    Signal,
+    exp_conv_blocks,
+    phi1,
+    resample,
+    values_at,
+)
+
+
+def conv_trajectory(alpha, b, u, n_steps):
+    """The rows of signals.exp_conv_blocks gathered into one (n_steps + 1, N) array."""
+    return np.concatenate(list(exp_conv_blocks(alpha, b, u, n_steps)))
 
 
 def control_to_state_ibp(sys, t, u):
@@ -96,7 +108,7 @@ def input_output_map_intxp(sys, t, u, dt=None):
     v = uvals @ sys.control.T
     v1 = np.gradient(v, h, axis=0, edge_order=2)
     v2 = np.gradient(v1, h, axis=0, edge_order=2)
-    conv2 = exp_conv_trajectory(alpha, Signal(0.0, h, v2), steps)
+    conv2 = conv_trajectory(alpha, np.eye(sys.n_modes), Signal(0.0, h, v2), steps)
     inv = 1.0 / alpha[None, :]
     traj = -v * inv - v1 * inv**2 + conv2 * inv**2
     return Signal(-t, h, traj @ sys.observation.T + uvals @ sys.feedthrough.T)

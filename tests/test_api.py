@@ -1,7 +1,7 @@
 """The package exports the API the README documents, src/ holds no function
 or class, public or private, that nothing in the package uses and nothing
-exports, no module reads the environment or starts threads, and none imports
-scipy when it is loaded."""
+exports, no module reads the environment or starts threads, none but signals
+forms the drive u B^T, and none imports scipy when it is loaded."""
 
 import ast
 from collections import Counter
@@ -124,6 +124,26 @@ def test_no_environment_or_thread_knobs():
             found += [f"{path.name}: {name}" for name in names
                       if name in ("environ", "getenv")
                       or name.split(".")[0] in ("concurrent", "threading")]
+    assert found == []
+
+
+def test_no_module_forms_the_drive():
+    # signals' kernels take the control matrix and form the drive u B^T a
+    # block of rows at a time: no other module multiplies by <expr>.control.T
+    package_dir = Path(wellposed.__file__).parent
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                right = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+                right = node.value
+            else:
+                continue
+            if (isinstance(right, ast.Attribute) and right.attr == "T"
+                    and isinstance(right.value, ast.Attribute)
+                    and right.value.attr == "control"):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

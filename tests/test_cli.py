@@ -63,6 +63,21 @@ class TestCertifyCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_stability_constant_exit_one(self, tmp_path, capsys, monkeypatch, k):
+        # json parses NaN: K is rejected when the system is built, before any
+        # stage runs, not when the certificate fails to serialize
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(wellposed.cli, "certify_system", stage)
+        spec = write_desc(tmp_path / "sys.json",
+                          dict(SCALAR_DESC, stability={"K": k, "omega": -1.0}))
+        rc = main(["certify", "--system", spec, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "stability constant K" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

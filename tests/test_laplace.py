@@ -8,12 +8,13 @@ import pytest
 
 import tracemalloc
 
+from cross_oracles import conv_trajectory
 from wellposed import laplace, signals
 from wellposed.certificate import _probe_input, _probe_state
 from wellposed.errors import DimensionError, DomainError
 from wellposed.heat import HeatConfig, build_heat_system
 from wellposed.laplace import ResolventCheck, laplace_transform, verify_resolvent_entries
-from wellposed.signals import Signal, exp_conv_trajectory, resample
+from wellposed.signals import Signal, resample
 from wellposed.spectral import DiagonalGenerator, resolvent_apply
 from wellposed.system import SpectralSystem
 
@@ -152,7 +153,7 @@ class TestVerifyResolventEntries:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[3])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(laplace, "exp_conv_blocks", counting)
@@ -270,8 +271,9 @@ class TestVerifyResolventEntries:
             return int(np.count_nonzero((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny)))
 
         # the kernel floors them, so the public trajectory holds none either
-        drive = Signal(0.0, dt, resample(u, 0.0, dt, 10001).samples @ sys.control.T)
-        assert subnormal_parts(exp_conv_trajectory(sys.gen.eigenvalues, drive, 10000)) == 0
+        traj = conv_trajectory(sys.gen.eigenvalues, sys.control, resample(u, 0.0, dt, 10001),
+                               10000)
+        assert subnormal_parts(traj) == 0
 
         real = laplace.segment_weights
         seen, seen23 = [], []
@@ -368,7 +370,8 @@ def _reference_check(sys, lam, x, u, t_max, dt, s_values=(0.0, -0.5, -1.0)):
 
     steps = int(round(t_max / dt))
     u_grid = resample(u, 0.0, dt, steps + 1).samples
-    traj = exp_conv_trajectory(alpha, Signal(0.0, dt, u_grid @ sys.control.T), steps)
+    traj = conv_trajectory(alpha, np.eye(sys.n_modes), Signal(0.0, dt, u_grid @ sys.control.T),
+                           steps)
     y = traj @ c.T + u_grid @ sys.feedthrough.T
 
     grid = dt * np.arange(steps + 1)
@@ -574,6 +577,24 @@ def test_heat_check_memory_near_parent_peak():
         tracemalloc.stop()
     assert check.passed
     assert peak < 11.3e6
+
+
+def test_heat1024_check_memory_holds_no_drive():
+    # the certificate's check on 1024 heat modes: the probe input's 1001-row
+    # drive u B^T alone would take 16 MB, twice that while a Signal copies
+    # it; the kernel forms it one block of rows at a time
+    sys = build_heat_system(HeatConfig(n_modes=1024))
+    x = _probe_state(sys.n_modes)
+    u = _probe_input(sys.n_inputs, 1e-3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak <= 20e6
 
 
 def test_passes_run_on_contiguous_arrays(monkeypatch):

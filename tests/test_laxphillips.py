@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cross_oracles import control_to_state_ibp, input_output_map_intxp
+from cross_oracles import control_to_state_ibp, conv_trajectory, input_output_map_intxp
 from wellposed import laplace, laxphillips, signals
+from wellposed.certificate import _probe_input
 from wellposed.errors import (
     DimensionError,
     DomainError,
@@ -27,7 +28,7 @@ from wellposed.laxphillips import (
 from wellposed.laplace import verify_resolvent_entries
 from wellposed.signals import (
     Signal,
-    exp_conv_trajectory,
+    exp_conv_final,
     lp_norm,
     resample,
     sample_free_output,
@@ -352,7 +353,8 @@ def test_step_on_grid_matches_trajectory_gather_bitwise():
         fresh = s_grid > -t + 1e-9 * dt
         tau = t + s_grid[fresh]
         v = Signal(0.0, dt, resample(xs.future_input, 0.0, dt, q + 1).samples @ sys.control.T)
-        drift = exp_conv_trajectory(sys.gen.eigenvalues, v, q)[np.rint(tau / dt).astype(int)]
+        traj = conv_trajectory(sys.gen.eigenvalues, np.eye(16), v, q)
+        drift = traj[np.rint(tau / dt).astype(int)]
         free = sample_free_output(sys.gen.eigenvalues, sys.observation, xs.state,
                                   tau[0], dt, tau.shape[0])
         want = (free + drift @ sys.observation.T
@@ -370,12 +372,12 @@ def test_step_runs_one_recurrence_and_no_scalar_kernel(monkeypatch, t):
     blocks, final = signals.exp_conv_blocks, laxphillips.exp_conv_final
 
     def counted_blocks(*args):
-        passes.append(args[2])
+        passes.append(args[3])
         return blocks(*args)
 
-    def counted_final(alpha, sig, t):
+    def counted_final(alpha, b, u, t):
         anchors.append(np.ndim(t))
-        return final(alpha, sig, t)
+        return final(alpha, b, u, t)
 
     monkeypatch.setattr(signals, "exp_conv_blocks", counted_blocks)
     monkeypatch.setattr(laxphillips, "exp_conv_final", counted_final)
@@ -399,6 +401,82 @@ def test_off_grid_step_memory_not_above_per_sample_loop():
     finally:
         tracemalloc.stop()
     assert peak <= 3_389_802
+
+
+def _random_mimo():
+    # a complex spectrum under three channels, with two outputs and D != 0
+    rng = np.random.default_rng(12)
+    n, m, k = 6, 3, 2
+    alpha = -rng.uniform(0.5, 60.0, n) + 1j * rng.uniform(-20.0, 20.0, n)
+
+    def pairs(shape):
+        return (np.stack([rng.standard_normal(shape), rng.standard_normal(shape)], axis=-1)
+                .tolist())
+
+    return build_system({"eigenvalues": [[float(a.real), float(a.imag)] for a in alpha],
+                         "control": pairs((n, m)), "observation": pairs((k, n)),
+                         "feedthrough": pairs((k, m))})
+
+
+@pytest.mark.parametrize("case", ["heat", "mimo"])
+@pytest.mark.parametrize("block_rows", [2, 3, None, "whole"])
+@pytest.mark.parametrize("t0", [0.0, -0.137])
+def test_maps_form_the_drive_with_the_bits_of_a_whole_drive(monkeypatch, case, block_rows, t0):
+    # the kernel forms u B^T block by block and at the knots each partial
+    # segment reads; the maps keep the bits of one N-wide drive u B^T convolved
+    # through the identity, and of input_output_map's whole-trajectory product
+    sys = _heat(8) if case == "heat" else _random_mimo()
+    alpha, n = sys.gen.eigenvalues, sys.n_modes
+    if block_rows == "whole":
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", 1 << 40)
+    elif block_rows:
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * n)
+    rng = np.random.default_rng(5)
+    dt = 0.05
+    u = Signal(t0, dt, rng.standard_normal((60, sys.n_inputs)))
+    drive = Signal(t0, dt, u.samples @ sys.control.T)
+    knots = u.times()[u.times() >= 0]
+    anchors = np.concatenate([knots, knots + dt * rng.uniform(0.05, 0.95, knots.shape),
+                              [0.0, 0.3 * dt, u.end + 0.4 * dt, u.end + 2.0]])
+    got = control_to_state(sys, anchors, u)
+    want = exp_conv_final(alpha, np.eye(n), drive, anchors)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for t, h in [(2.0, dt), (2.0, 0.013)]:
+        got = input_output_map(sys, t, u, h)
+        steps = round(t / h)
+        uvals = resample(u, 0.0, t / steps, steps + 1).samples
+        traj = conv_trajectory(alpha, np.eye(n), Signal(0.0, t / steps, uvals @ sys.control.T),
+                               steps)
+        want = traj @ sys.observation.T + uvals @ sys.feedthrough.T
+        assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+
+
+def _peak_bytes(call):
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_input_output_map_memory_holds_no_trajectory():
+    # 10 001 steps over 256 heat modes: the whole trajectory alone would take
+    # 41 MB and its N-wide drive another 41 MB; the map holds its K outputs
+    sys = _heat(256)
+    u = _probe_input(sys.n_inputs, 1e-3)
+    assert _peak_bytes(lambda: input_output_map(sys, 10.0, u, 1e-3)) <= 8e6
+
+
+def test_control_to_state_memory_holds_no_trajectory():
+    # an input of 10 001 samples on 256 heat modes, one anchor: the trajectory
+    # to it streams in blocks, and no N-wide drive is formed whole
+    sys = _heat(256)
+    r = 1e-3 * np.arange(10001)
+    u = Signal(0.0, 1e-3, np.stack([np.sin(r), np.cos(2.0 * r)], axis=1))
+    assert _peak_bytes(lambda: control_to_state(sys, 10.0, u)) <= 8e6
 
 
 def test_step_future_exhausted_is_zero():

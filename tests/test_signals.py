@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +10,13 @@ import pytest
 from scipy.signal import lfilter
 
 import wellposed
+from cross_oracles import conv_trajectory
 from wellposed import signals
 from wellposed.errors import DimensionError, DomainError, SchemaError
 from wellposed.signals import (
     Signal,
     exp_conv_blocks,
     exp_conv_final,
-    exp_conv_trajectory,
     exp_segment_integral,
     lp_norm,
     phi1,
@@ -30,6 +29,11 @@ from wellposed.signals import (
 )
 
 _E = math.e
+
+
+def _eye(alpha):
+    # the control matrix that drives each mode by its own input channel
+    return np.eye(np.size(alpha))
 
 
 def _ramp(n=11, dt=0.1, d=1):
@@ -101,6 +105,17 @@ def test_signal_validation():
         sig.samples[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("t0,dt,field", [
+    (math.nan, 0.1, "t0"), (math.inf, 0.1, "t0"), (-math.inf, 0.1, "t0"),
+    (0.0, math.inf, "dt"), (0.0, math.nan, "dt"),
+])
+def test_signal_rejects_non_finite_grid(t0, dt, field):
+    # such a grid reached the maps as a bare ValueError or OverflowError, or,
+    # with dt = inf, as zeros under RuntimeWarnings
+    with pytest.raises(DomainError, match=field):
+        Signal(t0, dt, np.ones(3))
+
+
 def test_values_at_zero_outside():
     sig = _ramp()
     assert values_at(sig, [-0.5])[0, 0] == 0.0
@@ -157,28 +172,28 @@ def test_lp_norm_rejects_small_p():
 def test_conv_final_constant_input():
     # int_0^1 e^{-(1-r)} dr = 1 - 1/e, many segments
     sig = Signal(0.0, 0.125, np.ones(9))
-    out = exp_conv_final([-1.0], sig, 1.0)
+    out = exp_conv_final([-1.0], np.eye(1), sig, 1.0)
     assert out[0] == pytest.approx(1.0 - 1.0 / _E, rel=1e-13)
 
 
 def test_conv_final_partial_end_segment():
     # upper limit mid-segment: int_0^{0.6} e^{-(0.6-r)} dr = 1 - e^{-0.6}
     sig = Signal(0.0, 0.25, np.ones(5))
-    out = exp_conv_final([-1.0], sig, 0.6)
+    out = exp_conv_final([-1.0], np.eye(1), sig, 0.6)
     assert out[0] == pytest.approx(1.0 - math.exp(-0.6), rel=1e-13)
 
 
 def test_conv_final_zero_extension():
     # input supported on [0, 0.5] only: int_0^{0.5} e^{-(1-r)} dr
     sig = Signal(0.0, 0.1, np.ones(6))
-    out = exp_conv_final([-1.0], sig, 1.0)
+    out = exp_conv_final([-1.0], np.eye(1), sig, 1.0)
     assert out[0] == pytest.approx(math.exp(-0.5) - math.exp(-1.0), rel=1e-13)
 
 
 def test_conv_final_interval_inside_one_segment():
     # coarse grid, tiny window: both endpoints inside one segment
     sig = Signal(-1.0, 4.0, np.array([0.0, 4.0]))  # u(r) = r + 1 on [-1, 3]
-    out = exp_conv_final([0.0 + 0j], sig, 0.5)
+    out = exp_conv_final([0.0 + 0j], np.eye(1), sig, 0.5)
     # int_0^{0.5} (r + 1) dr = 0.625
     assert out[0] == pytest.approx(0.625, rel=1e-13)
 
@@ -187,13 +202,13 @@ def test_conv_final_matches_ramp_oracle():
     # int_0^1 e^{-(1-r)} r dr = 1/e, across grid resolutions and modes
     for n in (2, 3, 9, 65):
         sig = _ramp(n=n, dt=1.0 / (n - 1), d=2)
-        out = exp_conv_final([-1.0, -1.0 + 0.0j], sig, 1.0)
+        out = exp_conv_final([-1.0, -1.0 + 0.0j], np.eye(2), sig, 1.0)
         np.testing.assert_allclose(out, 1.0 / _E, rtol=1e-12)
 
 
 def test_conv_final_width_mismatch():
     with pytest.raises(DimensionError):
-        exp_conv_final([-1.0, -2.0], _ramp(d=1), 1.0)
+        exp_conv_final([-1.0, -2.0], np.eye(2), _ramp(d=1), 1.0)
 
 
 def _reference_conv_final(alpha, sig, t):
@@ -256,7 +271,7 @@ def test_conv_final_anchor_array_matches_per_anchor_reference(spectrum, t0):
     ])
     if t0 > 0:
         anchors = np.append(anchors, [0.5 * t0, 0.0])      # before the support
-    got = exp_conv_final(alpha, sig, anchors)
+    got = exp_conv_final(alpha, _eye(alpha), sig, anchors)
     want = np.stack([_reference_conv_final(alpha, sig, t) for t in anchors])
     assert got.shape == (anchors.shape[0], alpha.shape[0])
     # relative to each mode's largest value: an oscillating mode's small
@@ -264,7 +279,7 @@ def test_conv_final_anchor_array_matches_per_anchor_reference(spectrum, t0):
     err = np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
     assert err <= 1e-13
     for i in (0, 7, anchors.shape[0] - 1):
-        np.testing.assert_array_equal(exp_conv_final(alpha, sig, anchors[i]), got[i])
+        np.testing.assert_array_equal(exp_conv_final(alpha, _eye(alpha), sig, anchors[i]), got[i])
 
 
 def test_conv_final_knot_anchor_is_trajectory_row():
@@ -272,24 +287,24 @@ def test_conv_final_knot_anchor_is_trajectory_row():
     rng = np.random.default_rng(4)
     alpha = _CONV_SPECTRA["stiff"]
     sig = Signal(0.0, 0.05, rng.standard_normal((21, 3)))
-    traj = exp_conv_trajectory(alpha, sig, 20)
+    traj = conv_trajectory(alpha, _eye(alpha), sig, 20)
     k = np.arange(21)
-    np.testing.assert_array_equal(exp_conv_final(alpha, sig, 0.05 * k), traj)
+    np.testing.assert_array_equal(exp_conv_final(alpha, _eye(alpha), sig, 0.05 * k), traj)
     nudged = 0.05 * k + 1e-3 * signals._GRID_REL_TOL * 0.05
-    np.testing.assert_array_equal(exp_conv_final(alpha, sig, nudged), traj)
+    np.testing.assert_array_equal(exp_conv_final(alpha, _eye(alpha), sig, nudged), traj)
 
 
 def test_conv_final_rejects_bad_anchors():
     with pytest.raises(DomainError):
-        exp_conv_final([-1.0], _ramp(), [0.5, -0.1])
+        exp_conv_final([-1.0], np.eye(1), _ramp(), [0.5, -0.1])
     # NaN and infinite anchors fail the same finite-and->=0 test as the
     # Lax-Phillips maps, instead of giving zeros after a cast warning
     for bad in (np.nan, np.inf, [0.5, np.nan, 1.0]):
         with pytest.raises(DomainError, match="finite"):
-            exp_conv_final([-1.0, -2.0], _ramp(d=2), bad)
+            exp_conv_final([-1.0, -2.0], np.eye(2), _ramp(d=2), bad)
     with pytest.raises(DimensionError):
-        exp_conv_final([-1.0], _ramp(), np.ones((2, 2)))
-    assert exp_conv_final([-1.0], _ramp(), np.array([])).shape == (0, 1)
+        exp_conv_final([-1.0], np.eye(1), _ramp(), np.ones((2, 2)))
+    assert exp_conv_final([-1.0], np.eye(1), _ramp(), np.array([])).shape == (0, 1)
 
 
 def test_segment_integral_broadcasts_over_segments():
@@ -357,9 +372,9 @@ def test_conv_trajectory_matches_final():
     rng = np.random.default_rng(5)
     sig = Signal(0.0, 0.05, rng.standard_normal((21, 3)))
     alpha = np.array([-1.0, -2.0 + 3.0j, -10.0])
-    traj = exp_conv_trajectory(alpha, sig, 30)
+    traj = conv_trajectory(alpha, _eye(alpha), sig, 30)
     for k in (0, 1, 7, 20, 25, 30):
-        direct = exp_conv_final(alpha, sig, k * 0.05)
+        direct = exp_conv_final(alpha, _eye(alpha), sig, k * 0.05)
         np.testing.assert_allclose(traj[k], direct, atol=1e-12)
 
 
@@ -367,14 +382,14 @@ def test_conv_trajectory_stiff_mode_stable():
     # very stiff decay must not overflow or lose positivity
     sig = Signal(0.0, 0.01, np.ones(101))
     alpha = np.array([-4226.0])
-    traj = exp_conv_trajectory(alpha, sig, 100)
+    traj = conv_trajectory(alpha, _eye(alpha), sig, 100)
     exact = (1.0 - np.exp(alpha[0] * 0.01 * np.arange(101))) / (-alpha[0])
     np.testing.assert_allclose(traj[:, 0], exact, rtol=1e-10, atol=1e-18)
 
 
 def test_conv_trajectory_requires_zero_start():
     with pytest.raises(DomainError):
-        exp_conv_trajectory([-1.0], Signal(0.5, 0.1, np.ones(3)), 2)
+        conv_trajectory([-1.0], np.eye(1), Signal(0.5, 0.1, np.ones(3)), 2)
 
 
 def _lfilter_trajectory(alpha, sig, n_steps):
@@ -430,7 +445,7 @@ def test_conv_trajectory_matches_lfilter_reference(spectrum, n_samples, n_steps,
     alpha = _SPECTRA[spectrum]
     rng = np.random.default_rng(n_samples * 100 + n_steps)
     sig = _drive(rng, n_samples, alpha.shape[0], n_live)
-    got = exp_conv_trajectory(alpha, sig, n_steps)
+    got = conv_trajectory(alpha, _eye(alpha), sig, n_steps)
     want = _lfilter_trajectory(alpha, sig, n_steps)
     assert got.shape == want.shape == (n_steps + 1, alpha.shape[0])
     if spectrum == "real":
@@ -447,7 +462,7 @@ def test_conv_trajectory_real_spectrum_keeps_every_bit(spectrum, n_live):
     # 0 + e^(alpha dt) x_k does, so the bits match the sign of each zero too
     alpha = _SPECTRA[spectrum]
     sig = _drive(np.random.default_rng(1), 21, alpha.shape[0], n_live)
-    got = exp_conv_trajectory(alpha, sig, 45)
+    got = conv_trajectory(alpha, _eye(alpha), sig, 45)
     want = _lfilter_trajectory(alpha, sig, 45)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -474,12 +489,12 @@ def test_conv_blocks_match_single_block(monkeypatch, spectrum, block_rows, n_liv
     alpha = _SPECTRA[spectrum]
     rng = np.random.default_rng(block_rows)
     sig = _drive(rng, 21, alpha.shape[0], n_live)
-    whole = exp_conv_trajectory(alpha, sig, 45)
+    whole = conv_trajectory(alpha, _eye(alpha), sig, 45)
     monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * alpha.shape[0])
-    blocks = list(exp_conv_blocks(alpha, sig, 45))
+    blocks = list(exp_conv_blocks(alpha, _eye(alpha), sig, 45))
     assert len(blocks) == len(row_blocks(46, alpha.shape[0])) > 1
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
-    np.testing.assert_array_equal(exp_conv_trajectory(alpha, sig, 45), whole)
+    np.testing.assert_array_equal(conv_trajectory(alpha, _eye(alpha), sig, 45), whole)
 
 
 def _stuck_drive(dt=1e-3):
@@ -494,9 +509,9 @@ def test_conv_blocks_floor_stuck_subnormals_in_every_layout(monkeypatch, block_r
     # nearest would hold their free decay at the smallest subnormal, 4.9e-324
     alpha = np.array([-100.0, -300.0, -2.0], dtype=complex)
     sig = _stuck_drive()
-    whole = exp_conv_trajectory(alpha, sig, 10000)
+    whole = conv_trajectory(alpha, _eye(alpha), sig, 10000)
     monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * alpha.shape[0])
-    blocks = list(exp_conv_blocks(alpha, sig, 10000))
+    blocks = list(exp_conv_blocks(alpha, _eye(alpha), sig, 10000))
     assert len(blocks) == len(row_blocks(10001, alpha.shape[0])) > 1
     np.testing.assert_array_equal(np.concatenate(blocks).view(np.uint64), whole.view(np.uint64))
     parts = np.abs(whole.view(float))
@@ -536,9 +551,9 @@ def test_conv_blocks_stop_at_last_live_column(monkeypatch, spectrum, block_rows)
         return widths[-1]
 
     monkeypatch.setattr(signals, "_live_width", spy)
-    narrow = np.concatenate(list(exp_conv_blocks(alpha, sig, 10000)))
+    narrow = np.concatenate(list(exp_conv_blocks(alpha, _eye(alpha), sig, 10000)))
     monkeypatch.setattr(signals, "_live_width", lambda row: row.shape[0])
-    full = np.concatenate(list(exp_conv_blocks(alpha, sig, 10000)))
+    full = np.concatenate(list(exp_conv_blocks(alpha, _eye(alpha), sig, 10000)))
     np.testing.assert_array_equal(narrow.view(np.uint64), full.view(np.uint64))
     assert np.array_equal(narrow[-1, 2:].view(np.uint64), np.zeros(6, dtype=np.uint64))
     assert np.all(narrow[-1, :2] != 0.0)
@@ -580,48 +595,21 @@ def test_conv_trajectory_ignores_zero_tail_of_drive(monkeypatch, spectrum):
         return real(v, *args)
 
     monkeypatch.setattr(signals, "segment_weights", spy)
-    got = exp_conv_trajectory(alpha, sig, 45)
+    got = conv_trajectory(alpha, _eye(alpha), sig, 45)
     # g_11 holds v_11, the last nonzero sample; g_12..g_19 are zero and not formed
     assert formed == [12]
     np.testing.assert_array_equal(got.view(np.uint64),
-                                  exp_conv_trajectory(alpha, trimmed, 45).view(np.uint64))
-
-
-def test_conv_trajectory_one_block_is_not_copied(monkeypatch):
-    yielded = []
-    blocks = signals.exp_conv_blocks
-
-    def spy(*args):
-        for block in blocks(*args):
-            yielded.append(block)
-            yield block
-
-    monkeypatch.setattr(signals, "exp_conv_blocks", spy)
-    sig = Signal(0.0, 0.05, np.ones((21, 4)))
-    traj = exp_conv_trajectory(_SPECTRA["real"], sig, 30)
-    assert len(yielded) == 1 and traj is yielded[0]
+                                  conv_trajectory(alpha, _eye(alpha), trimmed, 45).view(np.uint64))
 
 
 def test_conv_blocks_check_arguments_on_call():
     with pytest.raises(DomainError):
-        exp_conv_blocks([-1.0], Signal(0.5, 0.1, np.ones(3)), 2)
+        exp_conv_blocks([-1.0], np.eye(1), Signal(0.5, 0.1, np.ones(3)), 2)
     with pytest.raises(DomainError):
-        exp_conv_blocks([-1.0], Signal(0.0, 0.1, np.ones(3)), -1)
-
-
-def test_conv_trajectory_memory_near_output():
-    # only one block of segment integrals is alive besides the output
-    rng = np.random.default_rng(9)
-    alpha = -(math.pi * np.arange(64)) ** 2 + 1j * rng.uniform(-5.0, 5.0, 64)
-    sig = Signal(0.0, 1e-3, rng.standard_normal((40001, 64)) + 1j * rng.standard_normal((40001, 64)))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        traj = exp_conv_trajectory(alpha, sig, 40000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * traj.nbytes
+        exp_conv_blocks([-1.0], np.eye(1), Signal(0.0, 0.1, np.ones(3)), -1)
+    # the control matrix must map the input's channels to the modes
+    with pytest.raises(DimensionError):
+        exp_conv_blocks([-1.0, -2.0], np.ones((2, 2)), Signal(0.0, 0.1, np.ones(3)), 2)
 
 
 def loaded_by_import(module: str) -> bool:

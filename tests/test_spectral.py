@@ -96,6 +96,16 @@ def test_generator_validation():
         DiagonalGenerator(np.array([np.nan + 0j]))
 
 
+@pytest.mark.parametrize("field,value,name", [
+    ("k", np.nan, "K"), ("k", np.inf, "K"),
+    ("shift", np.nan, "shift"), ("shift", np.inf, "shift"),
+])
+def test_generator_rejects_non_finite_constants(field, value, name):
+    # NaN fails k < 1 and shift < 0 alike, so each must be required finite
+    with pytest.raises(DomainError, match=name):
+        DiagonalGenerator(np.array([-2.0 + 0j]), **{field: value})
+
+
 def test_generator_is_immutable():
     gen = _gen()
     with pytest.raises(ValueError):

@@ -79,6 +79,18 @@ def test_build_applies_shift():
     assert sys.gen.shift == 1.5
 
 
+@pytest.mark.parametrize("extra,name", [
+    ({"stability": {"K": math.nan, "omega": -1.0}}, "K"),
+    ({"stability": {"K": math.inf, "omega": -1.0}}, "K"),
+    ({"shift": math.nan}, "shift"),
+    ({"shift": math.inf}, "shift"),
+])
+def test_build_rejects_non_finite_constants(extra, name):
+    # json reads NaN and Infinity; such a K used to pass every check
+    with pytest.raises(DomainError, match=name):
+        build_system(dict(_ONE_MODE, **extra))
+
+
 def test_build_unstable_spectrum_rejected():
     with pytest.raises(StabilityError):
         build_system({"eigenvalues": [1.0], "control": [[1.0]],
