@@ -16,6 +16,7 @@ on u's rows.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,10 @@ _GRID_REL_TOL = 1e-9
 # rows x columns of one block in the routines that stream over time, so the
 # memory of a block does not grow with the number of modes
 _BLOCK_ELEMENTS = 1 << 16
+
+# values formatted at once by write_signal_csv, so its per-value temporaries
+# stay under about a megabyte
+_CSV_BLOCK_VALUES = 4096
 
 # anchors of exp_conv_final whose partial segments are formed at once, so its
 # (anchors, N) temporaries stay a few blocks of rows
@@ -290,9 +295,10 @@ def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
         at_knot, at_time = v[pick[:m]], _blend(v[pick[m:2 * m]], v[pick[2 * m:]], frac, inside)
         # [a, first knot], or [a, end] when no knot lies between them
         i = head[c]
-        v1 = np.where(rows[c[i], None] >= 0, at_knot[0], at_time[1:][i])
-        out[c[i]] += exp_segment_integral(alpha, T[c[i], None], a,
-                                          np.minimum(end, r_ka)[c[i], None], at_time[:1], v1)
+        if i.any():
+            v1 = np.where(rows[c[i], None] >= 0, at_knot[0], at_time[1:][i])
+            out[c[i]] += exp_segment_integral(alpha, T[c[i], None], a,
+                                              np.minimum(end, r_ka)[c[i], None], at_time[:1], v1)
         # [knot at or below end, end]
         i = tail[c]
         out[c[i]] += exp_segment_integral(alpha, T[c[i], None], r_kb[c[i], None],
@@ -455,19 +461,175 @@ def _is_effectively_real(arr: np.ndarray) -> bool:
 def write_signal_csv(path, sig: Signal) -> None:
     """Write `time,c0,c1,...` rows; complex data gets c0.re,c0.im,... columns.
 
-    Every value is written with 17 significant digits, so it reads back
-    exactly; rows end in CRLF, as the csv module writes them.
+    Every value is written as Python's `'%.17g'` writes it, byte for byte, so
+    it reads back exactly; rows end in CRLF, as the csv module writes them.
+    The digits are formed vectorised, about 4096 values (_CSV_BLOCK_VALUES)
+    at a time, so the writer holds one block's temporaries whatever the
+    table's size. A row holding a value the vectorised path cannot round for
+    certain (a decimal tie, a subnormal, a magnitude outside about
+    [1e-250, 1e270]) is written by Python's formatter instead.
     """
-    if _is_effectively_real(sig.samples):
-        names = [f"c{j}" for j in range(sig.width)]
-        values = sig.samples.real
-    else:
-        names = [f"c{j}.{part}" for j in range(sig.width) for part in ("re", "im")]
-        values = np.stack([sig.samples.real, sig.samples.imag], axis=2)
-    table = np.column_stack([sig.times(), values.reshape(sig.n_samples, -1)])
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(["time"] + names), comments="")
+    real = _is_effectively_real(sig.samples)
+    parts = ("",) if real else (".re", ".im")
+    names = ["time"] + [f"c{j}{part}" for j in range(sig.width) for part in parts]
+    times = sig.times()
+    rows = max(1, _CSV_BLOCK_VALUES // len(names))
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\r\n").encode())
+        for k in range(0, sig.n_samples, rows):
+            v = sig.samples[k:k + rows]
+            values = np.stack([v.real] if real else [v.real, v.imag], axis=2).reshape(len(v), -1)
+            # as doubles: a long double value is written as '%.17g' would write it
+            table = np.column_stack([times[k:k + rows], values]).astype(float, copy=False)
+            fh.write(_csv_rows(table))
+
+
+# A value x = D 10^(e - 16), D the 17-digit significand round(|x| 10^(16 - e)),
+# is written from one canonical row of bytes that holds every character any
+# %.17g layout of it can use, and a keep-mask picks the layout's bytes:
+#   sign, "0.000", D's first digit, D's other 16 digits, ".", the 16 again,
+#   the exponent as "e", its sign and 2 digits, then a third digit, ",", "\r\n"
+# Fixed notation takes its integer digits from the first copy and its
+# fraction from the second. Each copy is 4 aligned 4-digit words, and a byte
+# that no layout keeps pads the row so they are.
+_CSV_TEMPLATE = b"-0.000 0" + b"0" * 16 + b".   " + b"0" * 16 + b"e+000,\r\n"
+_CSV_LEAD, _CSV_WORDS, _CSV_EXP = 7, (2, 7), 11  # D's first digit, word of each copy and of "e"
+# layouts: fixed notation at e = -4..16, scientific with 2 or 3 exponent digits
+_CSV_LAYOUTS = 23
+# |x| range of the vectorised path: every product and Dekker split below stays
+# normal and finite there
+_CSV_RANGE = (1e-250, 1e270)
+# a fraction of |x| 10^(16 - e) within this of 1/2 goes to Python's formatter:
+# the computed fraction is off by less than 1e-14, and an exact tie rounds half
+# to even, which the vectorised path does not decide
+_CSV_TIE_GUARD = 1e-9
+_CSV_SCALES = range(16 - 275, 16 + 255)  # the exponents s of the 10^s table
+_CSV_EXPONENTS = range(-400, 400)  # the exponents e of the "e+XX" word table
+
+
+@functools.cache
+def _csv_tables():
+    # built on first use, not at import: 10^s as an exact (hi, lo) pair with
+    # hi's Dekker halves, "0000".."9999" as 4-byte words with the number of
+    # trailing zeros of each, the exponents as a word and a fifth byte, and
+    # the keep-masks as words
+    pow10 = []
+    for s in _CSV_SCALES:
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        pow10.append((hi, (num * d - m * den) / (den * d)))
+    hi, lo = np.array(pow10).T
+    hh, hl = _split(hi)
+    # int16 and uint8, so that building them does not raise the process's peak
+    i = np.arange(10000, dtype=np.int16)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
+    words = (48 + digits).view(np.uint32)[:, 0]
+    zeros = np.sum([i % 10 ** k == 0 for k in range(1, 5)], axis=0, dtype=np.uint8)
+    exps = np.frombuffer(b"".join(b"e%+04d" % e if abs(e) > 99 else b"e%+03d " % e
+                                  for e in _CSV_EXPONENTS), dtype=np.uint8).reshape(-1, 5)
+
+    # keep-mask per (layout, significant digits, sign, last column)
+    layout, nd, neg, last = np.ix_(range(_CSV_LAYOUTS), range(1, 18), range(2), range(2))
+    e = layout - 4
+    fixed = layout < 21
+    small = fixed & (e < 0)
+    point = np.where(fixed, e, 0)  # the digit the point follows, unless small
+    keep = [neg == 1, small, small] + [small & (e <= -2 - k) for k in range(3)]
+    keep += [False, True]
+    keep += [np.where(small, j < nd, j <= point) for j in range(1, 17)]
+    keep += [~small & (nd - 1 > point)] + [False] * 3
+    keep += [~small & (point < j) & (j < nd) for j in range(1, 17)]
+    keep += [~fixed] * 4 + [layout == 22, last == 0, last == 1, last == 1]
+    keep = np.stack(np.broadcast_arrays(*keep), axis=-1).reshape(-1, len(_CSV_TEMPLATE))
+    return (hi, lo, hh, hl, words, zeros, np.ascontiguousarray(exps[:, :4]).view(np.uint32)[:, 0],
+            exps[:, 4].copy(), (keep * np.uint8(255)).view(np.uint32), keep.sum(axis=1))
+
+
+def _split(a):
+    # Dekker's split of a into halves of 26 bits and 27 bits, a = ah + al
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    return ah, a - ah
+
+
+def _scaled(x, s, tables):
+    # x 10^s as floor and fraction, x 10^s < 9e18, from Dekker's exact product
+    # of x and 10^s's head plus x times its tail
+    hi, lo, hh, hl = (np.take(t, s - _CSV_SCALES[0]) for t in tables[:4])
+    p = x * hi
+    xh, xl = _split(x)
+    r = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + x * lo
+    whole = np.floor(r)
+    return p.astype(np.int64) + whole.astype(np.int64), r - whole
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    # the %.17g CSV rows of a float table: digits and layout vectorised, rows
+    # with a value they cannot round for certain from Python's formatter
+    tables = _csv_tables()
+    words, zeros, exp_words, exp_bytes, masks, lengths = tables[4:]
+    x = table.ravel()
+    ax = np.abs(x)
+    zero = x == 0.0
+    fast = (ax >= _CSV_RANGE[0]) & (ax <= _CSV_RANGE[1])
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    d, frac = _scaled(ax, 16 - e, tables)
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < _CSV_TIE_GUARD)
+    # log10 can miss e by one next to a power of ten, and D can round up to
+    # 10^17: take those again at the exponent below or above
+    shift = (d + (frac > 0.5) >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        e[redo] += shift[redo]
+        d[redo], frac[redo] = _scaled(ax[redo], 16 - e[redo], tables)
+        slow[redo] |= np.abs(frac[redo] - 0.5) < _CSV_TIE_GUARD
+    d += frac > 0.5
+    slow |= ~zero & ((d < 10 ** 16) | (d >= 10 ** 17))
+    # a slow value's bytes are replaced with its row's, but their count must
+    # be its layout's: in range, D writes no NUL
+    np.clip(d, 10 ** 16, 10 ** 17 - 1, out=d)
+    d[zero], e[zero] = 0, 0
+
+    # D's last 16 digits in 4 groups, most significant first
+    groups = np.empty((x.size, 4), dtype=np.int64)
+    for j in range(3, -1, -1):
+        q = d // 10000
+        groups[:, j] = d - 10000 * q
+        d = q
+    # significant digits: 17 less D's trailing zeros, one for a zero
+    tz, low = np.take(zeros, groups), groups == 0
+    tz = tz[:, 3] + low[:, 3] * (tz[:, 2] + low[:, 2] * (tz[:, 1] + low[:, 1] * tz[:, 0]))
+    nd = np.where(zero, 1, 17 - tz)
+    layout = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    last = np.zeros(table.shape, dtype=bool)
+    last[:, -1] = True
+    key = ((layout * 17 + nd - 1) * 2 + np.signbit(x)) * 2 + last.ravel()
+    text = np.take(words, groups)
+    del ax, frac, shift, groups, tz, low, nd, layout  # the rows of bytes below set the peak
+    # an array over a bytearray, so its bytes are deleted below without a copy
+    buf = bytearray(x.size * len(_CSV_TEMPLATE))
+    canon = np.frombuffer(buf, dtype=np.uint8).reshape(x.size, -1)
+    canon[:] = np.frombuffer(_CSV_TEMPLATE, dtype=np.uint8)
+    for w in _CSV_WORDS:
+        canon.view(np.uint32)[:, w:w + 4] = text
+    canon[:, _CSV_LEAD] += d.astype(np.uint8)
+    canon.view(np.uint32)[:, _CSV_EXP] = np.take(exp_words, e - _CSV_EXPONENTS[0])
+    canon[:, 4 * _CSV_EXP + 4] = np.take(exp_bytes, e - _CSV_EXPONENTS[0])
+    # the masked-out bytes become NUL, which no layout writes, and are deleted
+    canon.view(np.uint32)[...] &= np.take(masks, key, axis=0)
+    out = buf.translate(None, b"\0")
+    if not slow.any():
+        return out
+    ends = np.cumsum(np.take(lengths, key).reshape(table.shape).sum(axis=1))
+    pieces, start = [], 0
+    for row in np.flatnonzero(slow.reshape(table.shape).any(axis=1)):
+        pieces.append(out[start:ends[row - 1] if row else 0])
+        pieces.append((",".join(format(v, ".17g") for v in table[row].tolist()) + "\r\n").encode())
+        start = ends[row]
+    pieces.append(out[start:])
+    return b"".join(pieces)
 
 
 def read_signal_csv(path) -> Signal:

@@ -3,10 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import lfilter
 
 import wellposed
@@ -692,6 +696,87 @@ def test_csv_bytes_match_reference_writer(tmp_path):
         _reference_write_signal_csv(want, sig)
         write_signal_csv(got, sig)
         assert got.read_bytes() == want.read_bytes(), i
+
+
+def _assert_csv_bytes_match(tmp_path, sig):
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _reference_write_signal_csv(want, sig)
+    write_signal_csv(got, sig)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# 10^k for every k a double reaches, with its two neighbours, of either sign
+_NEAR_POWERS_OF_TEN = sorted({sign * float(np.nextafter(10.0 ** k, toward))
+                              for k in range(-323, 309) for sign in (1.0, -1.0)
+                              for toward in (0.0, 10.0 ** k, math.inf)} - {math.inf, -math.inf})
+_CSV_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_NEAR_POWERS_OF_TEN))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                          elements=_CSV_VALUES),
+       t0=_CSV_VALUES, dt=st.floats(min_value=5e-324, max_value=1e300),
+       as_complex=st.booleans())
+def test_csv_bytes_match_reference_writer_on_any_finite_table(tmp_path, samples, t0, dt, as_complex):
+    # subnormals, +-0.0, both neighbours of each power of ten; the times of a
+    # huge t0 and dt may overflow to inf, which both writers print as "inf"
+    if as_complex:
+        samples = samples + 1j * samples[::-1]
+    _assert_csv_bytes_match(tmp_path, Signal(t0, dt, samples))
+
+
+def test_csv_bytes_match_reference_writer_on_random_bit_patterns(tmp_path):
+    # 10^5 doubles of uniform exponent, many outside the vectorised range;
+    # rows of 5 values, so about half the rows take the vectorised path
+    rng = np.random.default_rng(23)
+    values = rng.integers(0, 2 ** 64, (25000, 4), dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 0.0
+    _assert_csv_bytes_match(tmp_path, Signal(0.0, 0.01, values))
+
+
+def test_csv_bytes_match_reference_writer_on_exact_ties(tmp_path):
+    # odd m/4 in [1e15, 2.25e15] have 18 significant digits ending in 5, so
+    # %.17g rounds them half to even: ...0.25 -> ...0.2 and ...0.75 -> ...0.8
+    rng = np.random.default_rng(24)
+    m = 2 * rng.integers(2 * 10 ** 15, 4.5 * 10 ** 15, (200, 3)) + 1
+    ties = np.where(rng.random(m.shape) < 0.5, -1.0, 1.0) * m / 4.0
+    ties[0, :2] = [1000000000000000.25, 1000000000000000.75]
+    assert np.all(ties % 0.5 != 0.0)
+    _assert_csv_bytes_match(tmp_path, Signal(0.0, 0.01, ties))
+    assert b"1000000000000000.8," in (tmp_path / "got.csv").read_bytes()
+
+
+def test_csv_bytes_match_reference_writer_with_fallback_rows_at_block_edges(tmp_path):
+    # a subnormal, a tie and a huge value at the first and the last row of
+    # blocks, and a table in which every row holds a value Python formats
+    rng = np.random.default_rng(25)
+    width = 7
+    rows = signals._CSV_BLOCK_VALUES // (1 + width)
+    values = rng.standard_normal((3 * rows + 5, width))
+    for row, value in [(0, 5e-324), (rows - 1, 1000000000000000.75), (rows, -1e300),
+                       (2 * rows - 1, -2.5e-310), (3 * rows + 4, 1e-320)]:
+        values[row, row % width] = value
+    _assert_csv_bytes_match(tmp_path, Signal(0.0, 0.01, values))
+    values[:, 3] = 5e-324 * np.arange(1, values.shape[0] + 1)
+    _assert_csv_bytes_match(tmp_path, Signal(0.0, 0.01, values))
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    # simulate's state table: the writer's peak stays a block's temporaries
+    # above the signal it writes, where a formatter of the whole table at once
+    # holds tens of megabytes
+    sig = Signal(0.0, 0.01, np.random.default_rng(26).standard_normal((292, 128)))
+    write_signal_csv(tmp_path / "warm.csv", sig)  # the tables are built on first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_signal_csv(tmp_path / "state.csv", sig)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_csv_rejects_nonuniform_grid(tmp_path):
