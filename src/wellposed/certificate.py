@@ -19,7 +19,8 @@ import numpy as np
 from .admissibility import AdmissibilityReport, _check_window, admissibility_report
 from .errors import DomainError, PreconditionError
 from .heat import _SPECTRUM_TOL
-from .laplace import _QUAD_SAFETY, ResolventCheck, _check_grid, verify_resolvent_entries
+from .laplace import (_QUAD_SAFETY, ResolventCheck, _check_grid, _check_inputs,
+                      verify_resolvent_entries)
 from .signals import _GRID_REL_TOL, _PHI_SERIES_SWITCH, Signal
 from .system import (
     _SCAN_UPPER_SLACK,
@@ -178,6 +179,10 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     _check_scan_grid(gamma_max, gamma_steps)
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"p must be finite and >= 1, got {p}")
+    # the resolvent stage's probe state and input, which must fit its horizon
+    x = _probe_state(sys.n_modes)
+    u = _probe_input(sys.n_inputs, dt)
+    _check_inputs(sys, x, u, t_max, dt)
     failures: list[str] = []
     mode = "certify" if p == 2.0 else "exploratory"
     if mode == "exploratory":
@@ -202,8 +207,6 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     else:
         admissibility = admissibility_report(sys, t0, scan, p)
 
-    x = _probe_state(sys.n_modes)
-    u = _probe_input(sys.n_inputs, dt)
     resolvent_checks = []
     for lam in lambda_probes:
         check = verify_resolvent_entries(sys, lam, x, u, t_max, dt)

@@ -8,6 +8,7 @@ when it fits inside an explicit quadrature-plus-truncation budget.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,9 @@ from .signals import (
     _GRID_REL_TOL,
     _forced_rows,
     _live_width,
+    _phis,
     Signal,
     exp_conv_blocks,
-    phi1,
-    phi2,
     resample,
     sample_free_output,
     segment_weights,
@@ -76,8 +76,8 @@ def laplace_transform(sig: Signal, lam: complex) -> np.ndarray:
 
 def _weights(samples: np.ndarray, h: float, lam: complex) -> np.ndarray:
     # the transform's segment integrals without their e^(-lam r1) factors
-    w = lam * h
-    return segment_weights(samples, h, phi1(w), phi2(w))
+    _, p1, p2 = _phis(lam * h)
+    return segment_weights(samples, h, p1, p2)
 
 
 def _transform_sum(weights: np.ndarray, t0: float, h: float, lam: complex) -> np.ndarray:
@@ -164,6 +164,20 @@ def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
     return horizon
 
 
+def _check_inputs(sys: SpectralSystem, x, u: Signal, t_max: float,
+                  dt: float) -> tuple[float, np.ndarray]:
+    """Check a resolvent check's grid (see _check_grid), state x and input u,
+    whose support must lie in [0, t_max - 1]; return that horizon and x."""
+    horizon = _check_grid(sys, t_max, dt)
+    x = as_state(x, sys.n_modes)
+    if u.width != sys.n_inputs:
+        raise DimensionError(f"input has {u.width} channels, system expects {sys.n_inputs}")
+    if u.t0 < -_GRID_REL_TOL or u.end > horizon + _GRID_REL_TOL:
+        raise DomainError(
+            f"input support must lie inside [0, {horizon}] so decay envelopes apply")
+    return horizon, x
+
+
 def _second_differences(x: np.ndarray) -> np.ndarray:
     # x_{k+1} - 2 x_k + x_{k-1} at the interior rows of x, formed in place as
     # (-2 x_k + x_{k+1}) + x_{k-1}, which rounds the same
@@ -229,15 +243,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     formed once, at every offset (see _offset_entry).
     """
     lam = complex(lam)
-    if lam.real <= 0:
-        raise DomainError(f"probe frequency needs Re(lambda) > 0, got {lam}")
-    horizon = _check_grid(sys, t_max, dt)
-    x = as_state(x, sys.n_modes)
-    if u.width != sys.n_inputs:
-        raise DimensionError(f"input has {u.width} channels, system expects {sys.n_inputs}")
-    if u.t0 < -_GRID_REL_TOL or u.end > horizon + _GRID_REL_TOL:
-        raise DomainError(
-            f"input support must lie inside [0, {horizon}] so decay envelopes apply")
+    if not (cmath.isfinite(lam) and lam.real > 0):
+        raise DomainError(f"probe needs a finite lambda with Re(lambda) > 0, got {lam}")
+    horizon, x = _check_inputs(sys, x, u, t_max, dt)
 
     alpha = sys.gen.eigenvalues
     # any rate above the true one is a valid envelope; flooring at -1 keeps
@@ -263,8 +271,7 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     r13_steps = [int(round((t_max + s) / dt)) for s in _S_VALUES]
     n_drive = _forced_rows(u_grid, steps) + 1  # the rows that may hold a g_k
     y = u_grid.samples @ sys.feedthrough.T
-    w = lam * dt
-    p1, p2 = phi1(w), phi2(w)
+    _, p1, p2 = _phis(lam * dt)
     n = sys.n_modes
     num23 = np.zeros(n, dtype=complex)
     curv23 = np.empty((max(steps - 1, 0), 1))

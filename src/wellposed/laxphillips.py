@@ -69,18 +69,23 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
     as_state(xs.state, sys.n_modes)
 
 
+def _span_grid(t: float, dt: float) -> tuple[int, float]:
+    # a block's grid on [-t, 0]: the step nearest dt that fits t a whole number of times
+    _check_times(t)
+    if not dt > 0:
+        raise DomainError(f"dt must be > 0, got {dt}")
+    steps = max(1, round(t / dt))
+    return steps, t / steps
+
+
 def observe_trajectory(sys: SpectralSystem, t: float, x, dt: float) -> Signal:
     """Past-output block of the free evolution: s -> c . (e^(alpha (t+s)) x)
     sampled on [-t, 0] with target step dt by signals.sample_free_output, which
     holds O(rows K), not every mode at every sample; zero for t = 0."""
-    _check_times(t)
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    steps, h = _span_grid(t, dt)
     xv = as_state(x, sys.n_modes)
     if t == 0:
         return Signal(0.0, dt, np.zeros((1, sys.n_outputs)))
-    steps = max(1, round(t / dt))
-    h = t / steps
     return Signal(-t, h, sample_free_output(sys.gen.eigenvalues, sys.observation, xv,
                                             0.0, h, steps + 1))
 
@@ -104,17 +109,13 @@ def input_output_map(sys: SpectralSystem, t: float, u: Signal,
     v = B u on u's support, found on u's rows; each exp_conv_blocks block of
     the exact recurrence adds its K output rows, so no N-wide array is held.
     """
-    _check_times(t)
-    if u.width != sys.n_inputs:
-        raise DimensionError(f"input has width {u.width}, expected {sys.n_inputs}")
     if dt is None:
         dt = u.dt
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    steps, h = _span_grid(t, dt)
+    if u.width != sys.n_inputs:
+        raise DimensionError(f"input has width {u.width}, expected {sys.n_inputs}")
     if t == 0:
         return Signal(0.0, dt, np.zeros((1, sys.n_outputs)))
-    steps = max(1, round(t / dt))
-    h = t / steps
     uvals = resample(u, 0.0, h, steps + 1)
     y = np.concatenate([block @ sys.observation.T for block in
                         exp_conv_blocks(sys.gen.eigenvalues, sys.control, uvals, steps)])
@@ -227,8 +228,11 @@ def load_extended_state(envelope_path) -> ExtendedState:
         if key not in raw:
             raise SchemaError(f"{path}: missing field {key!r}")
     for key in ("pastOutput", "futureInput"):
-        if not isinstance(raw[key], str):
-            raise SchemaError(f"{path}: {key} must be a file name, got {raw[key]!r}")
+        # a bare name: nothing outside the envelope's directory is read
+        name = raw[key]
+        if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
+            raise SchemaError(f"{path}: {key} must be a file name in the envelope's "
+                              f"directory, got {name!r}")
     if not isinstance(raw["state"], list):
         raise SchemaError(f"{path}: state must be a list of [re, im] pairs")
     state = [_entry(v, f"{path}: state[{i}]") for i, v in enumerate(raw["state"])]

@@ -53,41 +53,22 @@ def _phi_series(z: np.ndarray, coef) -> np.ndarray:
     return acc
 
 
-def _phi(z, coef, closed):
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
+def _phis(z):
+    """(e^z, phi1(z), phi2(z)) from one exp, with phi1(z) = (e^z - 1)/z and
+    phi2(z) = (e^z - 1 - z)/z^2 the exponential-integrator kernels of orders
+    1 and 2, taken from their series below |z| = _PHI_SERIES_SWITCH."""
+    arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    e = np.exp(arr)
+    p1, p2 = np.empty_like(arr), np.empty_like(arr)
     small = np.abs(arr) < _PHI_SERIES_SWITCH
     if np.any(small):
-        out[small] = _phi_series(arr[small], coef)
-    if np.any(~small):
-        out[~small] = closed(arr[~small])
-    return out[0] if scalar else out
-
-
-def phi1(z):
-    """phi1(z) = (e^z - 1)/z, the exponential-integrator kernel of order 1."""
-    return _phi(z, _PHI1_COEF, lambda w: (np.exp(w) - 1.0) / w)
-
-
-def phi2(z):
-    """phi2(z) = (e^z - 1 - z)/z^2, the exponential-integrator kernel of order 2."""
-    return _phi(z, _PHI2_COEF, lambda w: (np.exp(w) - 1.0 - w) / (w * w))
-
-
-def exp_segment_integral(alpha, T, r0, r1, u0, u1):
-    """Exact value of int_{r0}^{r1} e^(alpha (T - r)) u(r) dr, u linear on [r0, r1].
-
-    Only r0 < r1 is required; T is the kernel anchor and may lie anywhere.
-    The arguments broadcast against each other, so one call integrates many
-    segments.
-    """
-    h = r1 - r0
-    if not np.all(h > 0):
-        raise DomainError(f"segment requires r0 < r1, got [{r0}, {r1}]")
-    w = alpha * h
-    return np.exp(alpha * (T - r1)) * _segment(h, u0, u1, phi1(w), phi2(w))
+        p1[small] = _phi_series(arr[small], _PHI1_COEF)
+        p2[small] = _phi_series(arr[small], _PHI2_COEF)
+    if not np.all(small):
+        w, em1 = arr[~small], e[~small] - 1.0
+        p1[~small] = em1 / w
+        p2[~small] = (em1 - w) / (w * w)
+    return (e, p1, p2) if np.ndim(z) else (e[0], p1[0], p2[0])
 
 
 def _segment(h, u0, u1, p1, p2):
@@ -102,7 +83,7 @@ def _segment(h, u0, u1, p1, p2):
 def segment_weights(v: np.ndarray, h: float, p1, p2) -> np.ndarray:
     """h * (v_k p1 + (v_{k+1} - v_k) p2) for each segment between consecutive rows of v.
 
-    With p1 = phi1(alpha h) and p2 = phi2(alpha h) these are the exact segment
+    With p1 = phi1(alpha h) and p2 = phi2(alpha h) (see _phis) these are the exact segment
     integrals above without their e^(alpha (T - r1)) factor. Returns one row
     fewer than v.
     """
@@ -293,16 +274,20 @@ def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
         knots, pick = np.unique(np.concatenate(([ka], kb[c], k, k + 1)), return_inverse=True)
         v, m = u.samples[knots] @ b.T, c.size + 1
         at_knot, at_time = v[pick[:m]], _blend(v[pick[m:2 * m]], v[pick[2 * m:]], frac, inside)
-        # [a, first knot], or [a, end] when no knot lies between them
+        # [a, first knot], or [a, end] when no knot lies between them. The
+        # kernels of both partial segments are bound to no name, so none of
+        # their (anchors, N) arrays outlives its chunk and raises the next one's peak.
         i = head[c]
         if i.any():
             v1 = np.where(rows[c[i], None] >= 0, at_knot[0], at_time[1:][i])
-            out[c[i]] += exp_segment_integral(alpha, T[c[i], None], a,
-                                              np.minimum(end, r_ka)[c[i], None], at_time[:1], v1)
-        # [knot at or below end, end]
+            r1 = np.minimum(end, r_ka)[c[i], None]
+            out[c[i]] += np.exp(alpha * (T[c[i], None] - r1)) * _segment(
+                r1 - a, at_time[:1], v1, *_phis(alpha * (r1 - a))[1:])
+        # [knot at or below end, end]: end < T only past u's last knot, which
+        # leaves no tail, so a tail ends at T and takes no decay
         i = tail[c]
-        out[c[i]] += exp_segment_integral(alpha, T[c[i], None], r_kb[c[i], None],
-                                          end[c[i], None], at_knot[1:][i], at_time[1:][i])
+        h = (end - r_kb)[c[i], None]
+        out[c[i]] += _segment(h, at_knot[1:][i], at_time[1:][i], *_phis(alpha * h)[1:])
     _floor(out)
     return out if ts.ndim else out[0]
 
@@ -391,10 +376,7 @@ def _step_rows(rows: list[np.ndarray], decay: np.ndarray) -> None:
 
 
 def _conv_blocks(alpha: np.ndarray, b: np.ndarray, u: Signal, n_steps: int):
-    w = alpha * u.dt
-    p1 = phi1(w)
-    p2 = phi2(w)
-    decay = np.exp(w)
+    decay, p1, p2 = _phis(alpha * u.dt)
     # rows up to `forced` carry a g_k; every later row is free decay
     forced = _forced_rows(u, n_steps)
     carry = None
@@ -633,7 +615,8 @@ def _csv_rows(table: np.ndarray) -> bytes:
 
 
 def read_signal_csv(path) -> Signal:
-    """Read the `time,c0,c1,...` format; the step must be constant to 1e-9 relative."""
+    """Read the `time,c0,c1,...` format; each step must lie within
+    1e-9 * max(dt, 1) of the mean step dt, an absolute tolerance for dt <= 1."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0].strip() != "time":
@@ -663,7 +646,7 @@ def read_signal_csv(path) -> Signal:
         raise SchemaError(f"{path}: times must be strictly increasing")
     dt = (times[-1] - times[0]) / (len(times) - 1)
     if np.max(np.abs(steps - dt)) > _GRID_REL_TOL * max(dt, 1.0):
-        raise SchemaError(f"{path}: time step is not constant (relative tol 1e-9)")
+        raise SchemaError(f"{path}: time step is not constant (tol 1e-9 * max(dt, 1))")
     vals = arr[:, 1:]
     if complex_pairs:
         if vals.shape[1] % 2 != 0:

@@ -9,7 +9,8 @@ Gram, and their constants taken from the full dense spectrum; the Gauss
 rule's factor is also formed whole and multiplied by its adjoint in one
 product. The m13 symbol is contracted by einsum over the whole resolvent,
 without the scan's mode-pair matrix, and its grid sup is also taken by the
-unpruned block loop the branch-and-bound scan replaced.
+unpruned block loop the branch-and-bound scan replaced. The kernels phi1
+and phi2 each form their own exp, where signals._phis shares one.
 """
 
 import cmath
@@ -23,12 +24,43 @@ from wellposed.errors import DomainError, PreconditionError, SpectrumError
 from wellposed.heat import _SPECTRUM_TOL
 from wellposed.signals import (
     _GRID_REL_TOL,
+    _PHI_SERIES_SWITCH,
+    _PHI_TERMS,
     Signal,
     exp_conv_blocks,
-    phi1,
     resample,
     values_at,
 )
+
+
+def _phi(z, coef, closed):
+    # the closed form, or below |z| = _PHI_SERIES_SWITCH the Taylor series by
+    # Horner's rule, each with its own exp: signals._phis must give the same bits
+    arr = np.asarray(z, dtype=complex)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.empty_like(arr)
+    small = np.abs(arr) < _PHI_SERIES_SWITCH
+    if np.any(small):
+        acc = np.full_like(arr[small], coef[-1])
+        for c in coef[-2::-1]:
+            acc = acc * arr[small] + c
+        out[small] = acc
+    if np.any(~small):
+        out[~small] = closed(arr[~small])
+    return out[0] if scalar else out
+
+
+def phi1(z):
+    """phi1(z) = (e^z - 1)/z, the exponential-integrator kernel of order 1."""
+    coef = [1.0 / math.factorial(j + 1) for j in range(_PHI_TERMS)]
+    return _phi(z, coef, lambda w: (np.exp(w) - 1.0) / w)
+
+
+def phi2(z):
+    """phi2(z) = (e^z - 1 - z)/z^2, the exponential-integrator kernel of order 2."""
+    coef = [1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)]
+    return _phi(z, coef, lambda w: (np.exp(w) - 1.0 - w) / (w * w))
 
 
 def conv_trajectory(alpha, b, u, n_steps):

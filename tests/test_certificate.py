@@ -173,7 +173,7 @@ class TestCertifySystem:
         {"p": math.nan}, {"p": 0.5}, {"p": math.inf},
         {"gamma_max": math.inf}, {"gamma_max": 0.0}, {"t0": math.inf}, {"t0": math.nan},
         {"gamma_steps": 1}, {"gamma_steps": 2.5}, {"lambda_probes": (1.0, 2.0j)},
-        {"gamma_max": 1e308}, {"modes": 4097},
+        {"gamma_max": 1e308}, {"modes": 4097}, {"t_max": 1.5},
     ])
     def test_rejects_bad_parameters_before_any_stage(self, monkeypatch, kwargs):
         def stage(*args, **kw):

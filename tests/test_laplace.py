@@ -220,6 +220,18 @@ class TestVerifyResolventEntries:
         with pytest.raises(DimensionError):
             verify_resolvent_entries(sys, 1.0, [1.0], wide, t_max=10.0, dt=1e-2)
 
+    @pytest.mark.parametrize("lam", [math.inf, complex(1.0, math.inf), math.nan,
+                                     complex(math.nan, 1.0)])
+    def test_rejects_non_finite_probe_up_front(self, monkeypatch, lam):
+        # before any transform runs, with a message naming lambda
+        def stage(*args, **kw):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(laplace, "resample", stage)
+        with pytest.raises(DomainError, match="finite lambda"):
+            verify_resolvent_entries(scalar_system(), lam, [1.0], poly_input(1e-2),
+                                     t_max=10.0, dt=1e-2)
+
     @pytest.mark.parametrize("n_modes, rows", [(8, [1001]), (16, [218, 977])])
     def test_free_output_sampled_once(self, monkeypatch, n_modes, rows):
         # every offset reads a prefix of one tau grid: heat 8 has no stiff

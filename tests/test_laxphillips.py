@@ -591,6 +591,29 @@ def test_load_rejects_malformed_fields(tmp_path, field, value):
         load_extended_state(env)
 
 
+@pytest.mark.parametrize("field", ["pastOutput", "futureInput"])
+@pytest.mark.parametrize("where", ["absolute", "parent", "sub", "dotdot", "empty"])
+def test_load_reads_only_bare_file_names(tmp_path, field, where):
+    # a name with a directory part would read a CSV outside the envelope's
+    # directory; each such name is rejected, though the file it names exists
+    xs = ExtendedState(Signal(-1.0, 0.5, np.zeros((3, 1))), [1.0],
+                       Signal(0.0, 0.5, np.zeros((3, 1))))
+    env = save_extended_state(tmp_path / "run", xs)
+    for other in (tmp_path / "outside", tmp_path / "run" / "sub"):
+        save_extended_state(other, xs)
+    raw = json.loads(env.read_text())
+    name = raw[field]
+    raw[field] = {"absolute": str(tmp_path / "outside" / name), "parent": f"../outside/{name}",
+                  "sub": f"sub/{name}", "dotdot": "..", "empty": ""}[where]
+    env.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError, match=f"{field} must be a file name"):
+        load_extended_state(env)
+    # the bare name still loads
+    raw[field] = name
+    env.write_text(json.dumps(raw))
+    assert load_extended_state(env).state.tolist() == [1.0]
+
+
 def test_step_dimension_mismatch():
     sys = _heat(4)
     xs = _rest_state(_scalar_sys())

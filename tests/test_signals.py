@@ -14,17 +14,14 @@ from hypothesis.extra import numpy as hnp
 from scipy.signal import lfilter
 
 import wellposed
-from cross_oracles import conv_trajectory
+from cross_oracles import conv_trajectory, phi1, phi2
 from wellposed import signals
 from wellposed.errors import DimensionError, DomainError, SchemaError
 from wellposed.signals import (
     Signal,
     exp_conv_blocks,
     exp_conv_final,
-    exp_segment_integral,
     lp_norm,
-    phi1,
-    phi2,
     read_signal_csv,
     resample,
     row_blocks,
@@ -44,6 +41,29 @@ def _ramp(n=11, dt=0.1, d=1):
     # u(r) = r on [0, (n-1) dt], replicated over d columns
     t = dt * np.arange(n)
     return Signal(0.0, dt, np.tile(t[:, None], (1, d)))
+
+
+def exp_segment_integral(alpha, T, r0, r1, u0, u1):
+    # int_{r0}^{r1} e^(alpha (T - r)) u(r) dr as exp_conv_final's partial
+    # segments form it: _phis' kernels at alpha h, _segment, and the decay to T
+    h = r1 - r0
+    _, p1, p2 = signals._phis(alpha * h)
+    return np.exp(alpha * (T - r1)) * signals._segment(h, u0, u1, p1, p2)
+
+
+@pytest.mark.parametrize("z", [
+    0.0, 0.3, -0.4999, 0.5, 0.5001, -0.7, 2.0, -50.0, 0.4999j, -0.5001j,
+    -0.2 + 0.3j, 0.36 - 0.36j, -3.0 + 4.0j, 1e-12 - 1e-12j, -700.0 + 1.0j,
+    np.array([0.0, 0.25, -0.5, 0.5 + 0.0j, -0.49 + 0.1j, 1.0 - 2.0j, -400.0 + 30.0j]),
+    np.array([[0.1, 0.6], [-0.6j, -1e-3 + 0.4999j]]),
+])
+def test_phis_keep_the_separate_kernels_bits(z):
+    # one exp for e^z, phi1 and phi2 gives the bits of the kernels that each
+    # form their own, on both sides of the series switch at |z| = 0.5
+    e, p1, p2 = signals._phis(z)
+    for got, want in ((e, np.exp(np.asarray(z, dtype=complex))), (p1, phi1(z)), (p2, phi2(z))):
+        assert np.shape(got) == np.shape(z) and np.asarray(got).dtype == complex
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_phi_values():
@@ -89,11 +109,6 @@ def test_segment_integral_anchor_right_of_segment():
     # T = 0 < r0 is allowed (Laplace usage): int_1^2 e^{-r} dr
     val = exp_segment_integral(1.0, 0.0, 1.0, 2.0, 1.0, 1.0)
     assert val == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-14)
-
-
-def test_segment_integral_rejects_empty():
-    with pytest.raises(DomainError):
-        exp_segment_integral(-1.0, 1.0, 0.5, 0.5, 1.0, 1.0)
 
 
 def test_signal_validation():
@@ -322,8 +337,6 @@ def test_segment_integral_broadcasts_over_segments():
             want = exp_segment_integral(alpha[j], T[i, 0], r0[i, 0], r1[i, 0],
                                         u0[i, j], u1[i, j])
             assert got[i, j] == pytest.approx(want, rel=1e-15)
-    with pytest.raises(DomainError):
-        exp_segment_integral(alpha, T, r0, np.array([[1.0], [0.4]]), u0, u1)
 
 
 def _bits(arr):
@@ -784,6 +797,21 @@ def test_csv_rejects_nonuniform_grid(tmp_path):
     path.write_text("time,c0\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     with pytest.raises(SchemaError):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("shift, ok", [(5e-10, True), (5e-9, False)])
+def test_csv_step_tolerance_is_absolute_below_unit_step(tmp_path, shift, ok):
+    # at dt = 0.01 each step must lie within 1e-9 * max(dt, 1) = 1e-9 of dt,
+    # not within 1e-9 * dt: a time moved by 5e-10 loads, one moved by 5e-9 does not
+    times = 0.01 * np.arange(11)
+    times[5] += shift
+    path = tmp_path / "grid.csv"
+    path.write_text("time,c0\n" + "".join(f"{float(t)!r},1.0\n" for t in times))
+    if ok:
+        assert read_signal_csv(path).dt == pytest.approx(0.01, rel=1e-12)
+    else:
+        with pytest.raises(SchemaError, match=r"not constant \(tol 1e-9 \* max\(dt, 1\)\)"):
+            read_signal_csv(path)
 
 
 def test_csv_rejects_bad_header(tmp_path):
