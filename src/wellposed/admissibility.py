@@ -67,8 +67,8 @@ class AdmissibilityReport:
 
 
 def _check_window(sys: SpectralSystem, t0: float) -> None:
-    if not t0 > 0:
-        raise DomainError(f"t0 must be > 0, got {t0}")
+    if not (math.isfinite(t0) and t0 > 0):
+        raise DomainError(f"t0 must be finite and > 0, got {t0}")
     if sys.n_modes > _MAX_GRAM_ORDER:
         raise DomainError(f"Gram path supports up to {_MAX_GRAM_ORDER} modes")
 
@@ -193,8 +193,8 @@ def global_constants(m_obs: float, m_ctl: float, m_pair: float, k: float,
     """
     if omega >= 0:
         raise StabilityError(f"omega must be negative, got {omega}")
-    if not t0 > 0:
-        raise DomainError(f"t0 must be > 0, got {t0}")
+    if not (math.isfinite(t0) and t0 > 0):
+        raise DomainError(f"t0 must be finite and > 0, got {t0}")
     if k < 1:
         raise DomainError(f"K must be >= 1, got {k}")
     if p < 1:

@@ -173,8 +173,6 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
         raise DomainError("lambda_probes must hold one or more finite probes with "
                           f"Re(lambda) > 0, got {lambda_probes}")
     _check_grid(sys, t_max, dt)
-    if not (math.isfinite(t0) and t0 > 0):
-        raise DomainError(f"t0 must be finite and > 0, got {t0}")
     _check_window(sys, t0)
     _check_scan_grid(gamma_max, gamma_steps)
     if not (math.isfinite(p) and p >= 1):

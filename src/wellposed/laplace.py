@@ -92,6 +92,12 @@ def _tail_bound(lam: complex, t_end: float, omega: float, amp: float) -> float:
     return float(np.exp((omega - lam.real) * t_end) / (lam.real - omega) * amp)
 
 
+def _layer_steps(alpha: np.ndarray, dt: float) -> int:
+    # the dt steps of _free_output's fine initial layer: _LAYER_STEPS when a
+    # mode is stiffer than the grid, max |Re alpha| dt > 1/2, and none otherwise
+    return _LAYER_STEPS if float(np.max(-alpha.real)) * dt > 0.5 else 0
+
+
 def _free_output(alpha: np.ndarray, c: np.ndarray, x: np.ndarray, t_max: float,
                  dt: float) -> list[tuple[float, float, np.ndarray]]:
     """Samples of tau -> C e^(A tau) x on [0, t_max] as pieces (tau0, h, y).
@@ -103,12 +109,11 @@ def _free_output(alpha: np.ndarray, c: np.ndarray, x: np.ndarray, t_max: float,
     Each piece is signals.sample_free_output's, the sampler the Lax-Phillips
     maps run.
     """
-    stiff = float(np.max(-alpha.real))
-    k0 = _LAYER_STEPS if stiff * dt > 0.5 else 0
+    k0 = _layer_steps(alpha, dt)
     t_split = k0 * dt
     grids = [(t_split, dt, int(round(t_max / dt)) - k0 + 1)]
     if k0:
-        n1 = int(math.ceil(t_split * 4.0 * stiff))
+        n1 = int(math.ceil(t_split * 4.0 * float(np.max(-alpha.real))))
         grids.insert(0, (0.0, t_split / n1, n1 + 1))
     return [(tau0, h, sample_free_output(alpha, c, x, tau0, h, n)) for tau0, h, n in grids]
 
@@ -158,7 +163,7 @@ def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
     horizon = t_max + min(_S_VALUES)
     if not horizon > 0:
         raise DomainError(f"t_max must exceed {-min(_S_VALUES)}, got {t_max}")
-    if float(np.max(-sys.gen.eigenvalues.real)) * dt > 0.5 and horizon < _LAYER_STEPS * dt:
+    if horizon < _layer_steps(sys.gen.eigenvalues, dt) * dt:
         raise DomainError(f"dt = {dt} is too coarse for this stiff spectrum: its initial "
                           f"layer {_LAYER_STEPS} dt must fit in t_max - 1 = {horizon}")
     return horizon

@@ -9,6 +9,7 @@ controlled drift; the future input is left shifted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,8 +73,8 @@ def _check_dims(sys: SpectralSystem, xs: ExtendedState) -> None:
 def _span_grid(t: float, dt: float) -> tuple[int, float]:
     # a block's grid on [-t, 0]: the step nearest dt that fits t a whole number of times
     _check_times(t)
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     steps = max(1, round(t / dt))
     return steps, t / steps
 
@@ -96,7 +97,6 @@ def control_to_state(sys: SpectralSystem, t, u: Signal) -> np.ndarray:
     t is one time or a 1-d array of them; returns shape (N,) or one row per
     time, as exp_conv_final does.
     """
-    _check_times(t)
     return exp_conv_final(sys.gen.eigenvalues, sys.control, u, t)
 
 

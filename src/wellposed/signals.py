@@ -224,9 +224,11 @@ def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
     takes the row at the knot at or below its clipped limit as its block
     streams, decays it to T and adds its partial segments before the first
     knot and after that knot, _ANCHOR_ROWS anchors at a time from one product
-    of u B^T at the knots they read. An anchor within _GRID_REL_TOL * dt of a
-    knot is taken at the knot. Parts below 2.2e-308 read as +0.0, as in
-    exp_conv_blocks, since decay to an anchor past the grid can reach them.
+    of u B^T at the knots they read; its decay is the e^(alpha h) of the
+    segment after the knot, unless it lies past u's last knot. An anchor
+    within _GRID_REL_TOL * dt of a knot is taken at the knot. Parts below
+    2.2e-308 read as +0.0, as in exp_conv_blocks, since decay to an anchor
+    past the grid can reach them.
     Anchors must be finite and >= 0. Returns shape (N,) for a scalar t and
     (len(t), N) for a 1-d array.
     """
@@ -263,9 +265,17 @@ def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
     tail = (rows >= 0) & (end > r_kb + tol)
     for lo in range(0, T.shape[0], _ANCHOR_ROWS):
         c = np.arange(lo, min(lo + _ANCHOR_ROWS, T.shape[0]))
+        # each row's decay to T in one product, since numpy multiplies a lone
+        # element in place with its operands swapped. A tail ends at T (end < T
+        # only past u's last knot), so its e^(alpha h) comes with its kernels.
         i = c[(rows[c] >= 0) & (T[c] != r_kb[c])]
-        out[i] *= np.exp(np.outer(T[i] - r_kb[i], alpha))
-        c = c[head[c] | tail[c]]
+        h, j = (T[i] - r_kb[i])[:, None], tail[i]
+        e = np.empty((i.size, alpha.shape[0]), dtype=complex)
+        e[j], p1, p2 = _phis(alpha * h[j])
+        e[~j] = np.exp(alpha * h[~j])
+        out[i] *= e
+        del e
+        c, h = c[head[c] | tail[c]], h[j]
         if not c.size:
             continue
         # u B^T at knots ka and kb, and at a and each limit as values_at blends
@@ -274,20 +284,17 @@ def exp_conv_final(alpha, b: np.ndarray, u: Signal, t) -> np.ndarray:
         knots, pick = np.unique(np.concatenate(([ka], kb[c], k, k + 1)), return_inverse=True)
         v, m = u.samples[knots] @ b.T, c.size + 1
         at_knot, at_time = v[pick[:m]], _blend(v[pick[m:2 * m]], v[pick[2 * m:]], frac, inside)
-        # [a, first knot], or [a, end] when no knot lies between them. The
-        # kernels of both partial segments are bound to no name, so none of
-        # their (anchors, N) arrays outlives its chunk and raises the next one's peak.
+        # [a, first knot], or [a, end] when no knot lies between them
         i = head[c]
         if i.any():
             v1 = np.where(rows[c[i], None] >= 0, at_knot[0], at_time[1:][i])
             r1 = np.minimum(end, r_ka)[c[i], None]
             out[c[i]] += np.exp(alpha * (T[c[i], None] - r1)) * _segment(
                 r1 - a, at_time[:1], v1, *_phis(alpha * (r1 - a))[1:])
-        # [knot at or below end, end]: end < T only past u's last knot, which
-        # leaves no tail, so a tail ends at T and takes no decay
+        # [knot at or below end, end]; no kernel outlives its chunk
         i = tail[c]
-        h = (end - r_kb)[c[i], None]
-        out[c[i]] += _segment(h, at_knot[1:][i], at_time[1:][i], *_phis(alpha * h)[1:])
+        out[c[i]] += _segment(h, at_knot[1:][i], at_time[1:][i], p1, p2)
+        del p1, p2
     _floor(out)
     return out if ts.ndim else out[0]
 
@@ -303,9 +310,11 @@ def exp_conv_blocks(alpha, b: np.ndarray, u: Signal, n_steps: int):
     into the next, so no (n_steps + 1, N) array is held. Past the row after
     u's last nonzero sample, a nonzero u_k with B u_k = 0 included, every g_k
     is zero: those free rows x_{k+1} = e^(alpha dt) x_k form no drive and take
-    no Python step, but one multiply.accumulate per block, in place. They
-    equal the stepped rows bit for bit on a real spectrum, and the rows keep
-    their bits whatever zero tail u carries.
+    no Python step, but one multiply.accumulate per block over the row before
+    them and copies of e^(alpha dt), 3 rows at least; an all-free block on
+    all columns is its rows, with no zero-fill or copy. They equal the
+    stepped rows bit for bit on a real spectrum, and the rows keep their bits
+    whatever zero tail u carries. Blocks are read-only.
 
     Every real or imaginary part below the smallest normal float, 2.2e-308,
     is returned as +0.0, and the next block continues from the floored row.
@@ -359,15 +368,6 @@ def _live_width(row: np.ndarray) -> int:
     return int(live[-1]) + 1 if live.size else 0
 
 
-def _decay_step(x: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    # x * decay as a 3-row accumulate forms it. On numpy 2.4.6 an accumulate
-    # takes its scalar complex product over 3 rows or more but its vector
-    # product, operands swapped, over exactly 2, and the two differ in the last
-    # bit on complex spectra. numpy does not promise this choice of inner loop;
-    # test_conv_blocks_match_single_block[{1,2}-complex] fails if it changes.
-    return np.multiply.accumulate([x, decay, decay])[1]
-
-
 def _step_rows(rows: list[np.ndarray], decay: np.ndarray) -> None:
     # x_k = decay x_{k-1} + g_{k-1} down rows that hold g_{k-1}; a function of
     # its own, so no row view outlives the call and keeps its block alive
@@ -375,46 +375,49 @@ def _step_rows(rows: list[np.ndarray], decay: np.ndarray) -> None:
         cur += decay * prev
 
 
+def _free_rows(seed: np.ndarray, decay: np.ndarray, n: int) -> np.ndarray:
+    # seed decay^j, j = 1..n, each row from the one before, by one accumulate
+    # over [seed, decay, decay, ...] of 3 rows at least: over exactly 2, numpy
+    # 2.4.6 takes its vector complex product, operands swapped, which differs
+    # in the last bit (test_conv_blocks_match_single_block[{1,2}-complex])
+    buf = np.empty((max(n + 1, 3), seed.shape[0]), dtype=complex)
+    buf[0], buf[1:] = seed, decay
+    np.multiply.accumulate(buf, axis=0, out=buf)
+    return buf[1:n + 1]
+
+
 def _conv_blocks(alpha: np.ndarray, b: np.ndarray, u: Signal, n_steps: int):
     decay, p1, p2 = _phis(alpha * u.dt)
     # rows up to `forced` carry a g_k; every later row is free decay
     forced = _forced_rows(u, n_steps)
-    carry = None
     for k0, k1 in row_blocks(n_steps + 1, alpha.shape[0]):
-        block = np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
         # row k holds g_{k-1} until the step below turns it into x_k
         lo, hi = max(k0, 1), min(k1, forced + 1)
-        if hi > lo:
-            block[lo - k0:hi - k0] = segment_weights(u.samples[lo - 1:hi] @ b.T, u.dt, p1, p2)
         if hi > k0:
+            block = np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
+            if hi > lo:
+                block[lo - k0:hi - k0] = segment_weights(u.samples[lo - 1:hi] @ b.T, u.dt, p1, p2)
             if k0 > 1:
-                block[0] += decay * carry
+                block[0] += decay * live[-1]
+            live = block
             # x_0 = 0 and x_1 = g_0 take no step
             _step_rows(list(block[1 if k0 == 0 else 0:hi - k0]), decay)
-            live = block
-            free = block[hi - k0 - 1:]
+            if k1 > hi:
+                block[hi - k0:] = _free_rows(block[hi - k0 - 1], decay, k1 - hi)
         else:
-            # every row is free: a +0.0 column of the carry stays +0.0, so the
+            # every row is free: a +0.0 column of the last row stays +0.0, so the
             # passes run on its live columns alone, and the rest of the block
             # keeps np.zeros. Fewer than all columns are formed in a contiguous
             # array of their own, since numpy pays per row on a narrow view.
-            width = _live_width(carry)
-            live = free = block if width == block.shape[1] else \
-                np.empty((k1 - k0, width), dtype=complex)
-            free[0] = _decay_step(carry[:width], decay[:width])
-        rate = decay[:free.shape[1]]
-        # the free rows, each from the one before, seeded by the row above them;
-        # a 2-row accumulate would round differently (see _decay_step)
-        if free.shape[0] == 2:
-            free[1] = _decay_step(free[0], rate)
-        elif free.shape[0] > 2:
-            free[1:] = rate
-            np.multiply.accumulate(free, axis=0, out=free)
+            width = _live_width(live[-1])
+            live = _free_rows(live[-1, :width], decay[:width], k1 - k0)
+            block = live if width == alpha.shape[0] else \
+                np.zeros((k1 - k0, alpha.shape[0]), dtype=complex)
         _floor(live)
         if live is not block:
             block[:, :live.shape[1]] = live
-        # at the live width: past it the next block's columns stay zero
-        carry = live[-1].copy()
+        # the next block starts from this one's last row, so no caller may write to it
+        block.setflags(write=False)
         yield block
 
 

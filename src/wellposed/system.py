@@ -50,10 +50,10 @@ class HeatTail:
     channels: int = 2
 
     def __post_init__(self):
-        if not self.lambda0 > 0:
-            raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
-        if self.channels < 1:
-            raise DomainError(f"channels must be >= 1, got {self.channels}")
+        if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
+            raise DomainError(f"lambda0 must be finite and > 0, got {self.lambda0}")
+        if not (math.isfinite(self.channels) and self.channels >= 1):
+            raise DomainError(f"channels must be finite and >= 1, got {self.channels}")
 
     def sum_from(self, start: int) -> float:
         # sum_{n>=0} 1/(n^2 + a^2) = (1 + a pi coth(a pi)) / (2 a^2)
@@ -78,8 +78,10 @@ class PowerLawTail:
     exponent: float
 
     def __post_init__(self):
-        if self.coefficient < 0:
-            raise DomainError(f"coefficient must be >= 0, got {self.coefficient}")
+        if not (math.isfinite(self.coefficient) and self.coefficient >= 0):
+            raise DomainError(f"coefficient must be finite and >= 0, got {self.coefficient}")
+        if not math.isfinite(self.exponent):
+            raise DomainError(f"exponent must be finite, got {self.exponent}")
 
     def sum_from(self, start: int) -> float:
         if self.coefficient == 0.0:
@@ -357,7 +359,7 @@ def _parse_tail(raw) -> TailMajorant:
     if kind == "heat":
         try:
             return HeatTail(float(raw.get("lambda0", 1.0)), int(raw.get("channels", 2)))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"tail: {exc}") from None
     raise SchemaError(f"tail: unknown type {kind!r}")
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ class TestGlobalConstants:
             u = Signal(0.0, 0.05, rng.standard_normal((n + 1, 2)))
             reached = control_to_state(sys, t, u)
             assert np.linalg.norm(reached) <= consts.m_b * lp_norm(u, 2.0) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan])
+def test_windows_must_be_finite(t0):
+    # an infinite window gave a Gram constant after numpy's "invalid value"
+    # warning; every entry point now raises first, with no warning
+    sys = build_heat_system(HeatConfig(n_modes=16))
+    calls = (lambda: observation_gram(sys, t0), lambda: control_gram(sys, t0),
+             lambda: global_constants(1.0, 1.0, 1.0, k=1.0, omega=-1.0, t0=t0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="t0 must be finite and > 0"):
+                call()
 
 
 class TestReport:

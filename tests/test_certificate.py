@@ -189,6 +189,15 @@ class TestCertifySystem:
         with pytest.raises(DomainError):
             certify_system(sys, **kwargs)
 
+    def test_negative_infinite_window_fails_before_any_stage(self, monkeypatch):
+        # the window check lives in admissibility._check_window alone
+        def stage(*args, **kw):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(certificate, "compatibility_check", stage)
+        with pytest.raises(DomainError, match="t0 must be finite and > 0"):
+            certify_system(scalar_system(), t0=-math.inf)
+
     def test_verdict_implies_all_pass_flags(self):
         cert = certify_system(build_heat_system(HeatConfig(n_modes=40)), gamma_max=50.0,
                               gamma_steps=501)

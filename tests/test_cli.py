@@ -78,6 +78,22 @@ class TestCertifyCommand:
         assert "stability constant K" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["coefficient", "exponent"])
+    def test_non_finite_tail_exit_one(self, tmp_path, capsys, monkeypatch, field):
+        # json parses NaN: the tail is rejected when the system is built,
+        # before any stage runs, not when the certificate fails to serialize
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(wellposed.cli, "certify_system", stage)
+        tail = dict(NONSUMMABLE_DESC["tail"], exponent=2.0)
+        tail[field] = math.nan
+        spec = write_desc(tmp_path / "sys.json", dict(NONSUMMABLE_DESC, tail=tail))
+        rc = main(["certify", "--system", spec, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

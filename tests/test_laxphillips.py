@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ _TIME_CALLS = {
 def test_maps_reject_non_finite_and_negative_times(call, t):
     with pytest.raises(DomainError, match="finite and >= 0"):
         _TIME_CALLS[call](_scalar_sys(), t)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+def test_maps_reject_non_finite_steps(dt):
+    # dt = inf gave a 2-sample block at step t; NaN and -inf fail the same test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="dt must be finite and > 0"):
+            input_output_map(_scalar_sys(), 1.0, _const_u(), dt=dt)
+        with pytest.raises(DomainError, match="dt must be finite and > 0"):
+            observe_trajectory(_scalar_sys(), 1.0, [1.0], dt)
 
 
 def test_extended_state_validation():

@@ -301,6 +301,47 @@ def test_conv_final_anchor_array_matches_per_anchor_reference(spectrum, t0):
         np.testing.assert_array_equal(exp_conv_final(alpha, _eye(alpha), sig, anchors[i]), got[i])
 
 
+_ANCHOR_PICKS = st.lists(st.tuples(st.sampled_from(["knot", "off", "past", "before"]),
+                                    st.integers(0, 11), st.floats(0.05, 0.95)),
+                          min_size=1, max_size=70)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(spectrum=st.sampled_from(sorted(_CONV_SPECTRA)), dt=st.floats(0.02, 0.4),
+       start=st.integers(-5, 5), shift=st.one_of(st.just(0.0), st.floats(0.05, 0.95)),
+       samples=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                          elements=st.floats(-4.0, 4.0)),
+       as_complex=st.booleans(), picks=_ANCHOR_PICKS)
+def test_conv_final_matches_reference_on_any_anchor(spectrum, dt, start, shift, samples,
+                                                   as_complex, picks):
+    # u starts on the dt grid (shift 0) or off it, before or after r = 0, so
+    # an anchor can have a head segment, a tail segment, both or neither;
+    # anchors lie on knots, between them, past u's end and before its support
+    alpha = _CONV_SPECTRA[spectrum]
+    t0 = (start + shift) * dt
+    sig = Signal(t0, dt, samples * (1.0 - 0.5j) if as_complex else samples)
+    n = sig.n_samples
+    spots = {"knot": lambda k, f: t0 + min(k, n - 1) * dt,
+             "off": lambda k, f: t0 + (min(k, n - 1) + f) * dt,
+             "past": lambda k, f: sig.end + 4.0 * f,
+             "before": lambda k, f: f * t0}
+    anchors = np.array([t for t in (spots[kind](k, f) for kind, k, f in picks) if t >= 0.0]
+                       or [0.0])
+    got = exp_conv_final(alpha, _eye(alpha), sig, anchors)
+    want = np.stack([_reference_conv_final(alpha, sig, t) for t in anchors])
+    # relative to each mode's largest value, as in the test above, with an
+    # absolute floor for modes that decay below the normal range
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+    # an anchor's bits do not depend on the other anchors of its call. That
+    # holds for two modes or more: with one, a scalar call's lone decay is
+    # multiplied in place by numpy with its operands swapped, which can round
+    # the last bit differently. Every spectrum here has three modes.
+    for i, t in enumerate(anchors):
+        np.testing.assert_array_equal(exp_conv_final(alpha, _eye(alpha), sig, t).view(np.uint64),
+                                      got[i].view(np.uint64))
+
+
 def test_conv_final_knot_anchor_is_trajectory_row():
     # an anchor on a knot, or within the grid tolerance of one, is taken at the knot
     rng = np.random.default_rng(4)

@@ -390,6 +390,24 @@ def test_power_law_tail():
         PowerLawTail(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tails_reject_non_finite_fields(bad):
+    # HeatTail(lambda0=inf).sum_from(8) gave 0.0, and a NaN coefficient ran
+    # every certify stage before the certificate failed to serialize
+    for make in (lambda: HeatTail(lambda0=bad), lambda: HeatTail(channels=bad),
+                 lambda: PowerLawTail(bad, 2.0), lambda: PowerLawTail(1.0, bad)):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+    # the same fields read from a description; an infinite channel count is
+    # a SchemaError, since no int holds it
+    for tail in ({"type": "heat", "lambda0": bad}, {"type": "heat", "channels": bad},
+                 {"type": "powerlaw", "coefficient": bad, "exponent": 2.0},
+                 {"type": "powerlaw", "coefficient": 1.0, "exponent": bad}):
+        with pytest.raises((DomainError, SchemaError)):
+            build_system({"eigenvalues": [-1.0], "control": [[1.0]],
+                          "observation": [[1.0]], "tail": tail})
+
+
 def test_describe_system_shape():
     desc = describe_system(build_system({"builtin": "heat", "modes": 3}))
     assert desc["schema"] == "wellposed.system@1"
