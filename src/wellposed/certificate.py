@@ -9,7 +9,6 @@ passes and the exponent is 2, where symbol boundedness is decisive.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
@@ -168,19 +167,15 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     steps whose inputs are missing (no multiplier scan, hence no pair
     constant) are skipped, and each skip is itself recorded as a failure.
     """
-    if not (lambda_probes and all(cmath.isfinite(lam) and complex(lam).real > 0
-                                  for lam in lambda_probes)):
-        raise DomainError("lambda_probes must hold one or more finite probes with "
-                          f"Re(lambda) > 0, got {lambda_probes}")
     _check_grid(sys, t_max, dt)
     _check_window(sys, t0)
     _check_scan_grid(gamma_max, gamma_steps)
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    # the resolvent stage's probe state and input, which must fit its horizon
+    # the resolvent stage's probes, probe state and input, which must fit its horizon
     x = _probe_state(sys.n_modes)
     u = _probe_input(sys.n_inputs, dt)
-    _check_inputs(sys, x, u, t_max, dt)
+    _check_inputs(sys, lambda_probes, x, u, t_max, dt)
     failures: list[str] = []
     mode = "certify" if p == 2.0 else "exploratory"
     if mode == "exploratory":
@@ -205,15 +200,9 @@ def certify_system(sys: SpectralSystem, p: float = 2.0, t0: float = 1.0,
     else:
         admissibility = admissibility_report(sys, t0, scan, p)
 
-    resolvent_checks = []
-    for lam in lambda_probes:
-        check = verify_resolvent_entries(sys, lam, x, u, t_max, dt)
-        resolvent_checks.append(check)
-        for entry in check.entries:
-            if not entry.passed:
-                failures.append(
-                    f"resolvent {entry.name} at lambda = {complex(lam)} "
-                    f"exceeded its budget")
+    resolvent_checks = verify_resolvent_entries(sys, lambda_probes, x, u, t_max, dt)
+    failures += [f"resolvent {entry.name} at lambda = {check.lam} exceeded its budget"
+                 for check in resolvent_checks for entry in check.entries if not entry.passed]
 
     verdict = "WELL_POSED" if mode == "certify" and not failures else "NOT_CERTIFIED"
     return {

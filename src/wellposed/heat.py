@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spectral import DiagonalGenerator
-from .system import HeatTail, SpectralSystem
+from .system import HeatTail, SpectralSystem, _is_count
 
 # relative distance from -n^2 at which a probe lies on the spectrum; the
 # certificate's tolerance ledger records it
@@ -31,8 +31,8 @@ class HeatConfig:
     lambda0: float = 1.0
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
+        if not _is_count(self.n_modes):
+            raise DomainError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
         if not self.lambda0 > 0:
             raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
 

@@ -169,10 +169,14 @@ def _check_grid(sys: SpectralSystem, t_max: float, dt: float) -> float:
     return horizon
 
 
-def _check_inputs(sys: SpectralSystem, x, u: Signal, t_max: float,
-                  dt: float) -> tuple[float, np.ndarray]:
-    """Check a resolvent check's grid (see _check_grid), state x and input u,
-    whose support must lie in [0, t_max - 1]; return that horizon and x."""
+def _check_inputs(sys: SpectralSystem, probes, x, u: Signal, t_max: float,
+                  dt: float) -> tuple[list[complex], float, np.ndarray]:
+    """Check a resolvent check's probes, one or more, each finite with
+    Re(lambda) > 0, its grid (see _check_grid), state x and input u, whose
+    support must lie in [0, t_max - 1]; return the probes, that horizon and x."""
+    lams = [complex(lam) for lam in probes]
+    if not (lams and all(cmath.isfinite(lam) and lam.real > 0 for lam in lams)):
+        raise DomainError(f"lambda_probes must hold finite lambda, Re(lambda) > 0, got {probes}")
     horizon = _check_grid(sys, t_max, dt)
     x = as_state(x, sys.n_modes)
     if u.width != sys.n_inputs:
@@ -180,7 +184,7 @@ def _check_inputs(sys: SpectralSystem, x, u: Signal, t_max: float,
     if u.t0 < -_GRID_REL_TOL or u.end > horizon + _GRID_REL_TOL:
         raise DomainError(
             f"input support must lie inside [0, {horizon}] so decay envelopes apply")
-    return horizon, x
+    return lams, horizon, x
 
 
 def _second_differences(x: np.ndarray) -> np.ndarray:
@@ -207,10 +211,11 @@ def _quad_budget(curv: np.ndarray, t0: float, h: float, lam: complex) -> float:
     return _QUAD_SAFETY * (h / 12.0) * total
 
 
-def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
-                             t_max: float, dt: float) -> ResolventCheck:
+def verify_resolvent_entries(sys: SpectralSystem, probes, x, u: Signal,
+                             t_max: float, dt: float) -> list[ResolventCheck]:
     """Check the three nontrivial block transforms against their resolvent
-    closed forms at one frequency.
+    closed forms at each frequency in ``probes``; return one ResolventCheck
+    per probe, in the order given.
 
     r12: the observation block of the evolved state at each fixed offset s
          in _S_VALUES, transformed in t, against e^(lam s) C R(lam, A) x.
@@ -222,14 +227,22 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     tail envelopes stay valid. r12 and r13 depend on tau = t + s only, so each
     is sampled once in tau and read at every offset by prefix.
 
+    The trajectories do not depend on lambda, so they are formed once for all
+    probes: r12's free output, the forced trajectory with r13's output rows,
+    the rows the tail envelopes need and r23's second-difference norms. Per
+    probe run only the transforms, the closed forms, r23's running sum and
+    the budgets, each with the operations of a one-probe call, so a check
+    keeps its bits whichever probes come with it.
+
     No (steps, N) array is held: the forced trajectory comes from
     exp_conv_blocks one block of rows at a time. Each block adds its K output
-    rows to r13's (steps + 1, K) samples, seeds r23's axis-0 sum with the
-    running N-vector (the same row-by-row sum as over the whole trajectory when
-    N > 1; one mode's column is summed pairwise per block and can differ in the
-    last bits), stores each interior row's ||d2|| for one _quad_budget at the
-    end, and keeps only the rows the tail envelopes need. The kernel forms the
-    drive u B^T per block over u's support, found on u's rows (see signals).
+    rows to r13's (steps + 1, K) samples, seeds each probe's r23 axis-0 sum
+    with its running N-vector (the same row-by-row sum as over the whole
+    trajectory when N > 1; one mode's column is summed pairwise per block and
+    can differ in the last bits), stores each interior row's ||d2|| for one
+    _quad_budget per probe at the end, and keeps only the rows the tail
+    envelopes need. The kernel forms the drive u B^T per block over u's
+    support, found on u's rows (see signals).
 
     r23's passes run with the operations and order of the sums over the
     whole trajectory. Once the rows they read are all free decay, where a
@@ -245,12 +258,9 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     product in another order. So every residual and budget keeps its bits.
 
     r12 and r13 read each piece's segment weights and second differences,
-    formed once, at every offset (see _offset_entry).
+    formed once per probe, at every offset (see _offset_entry).
     """
-    lam = complex(lam)
-    if not (cmath.isfinite(lam) and lam.real > 0):
-        raise DomainError(f"probe needs a finite lambda with Re(lambda) > 0, got {lam}")
-    horizon, x = _check_inputs(sys, x, u, t_max, dt)
+    lams, horizon, x = _check_inputs(sys, probes, x, u, t_max, dt)
 
     alpha = sys.gen.eigenvalues
     # any rate above the true one is a valid envelope; flooring at -1 keeps
@@ -262,23 +272,25 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
     # input through its dt-grid sampling (identical to u on aligned grids)
     steps = int(round(t_max / dt))
     u_grid = resample(u, 0.0, dt, steps + 1)
-    u_hat = laplace_transform(Signal(0.0, dt, u_grid.samples[:round(horizon / dt) + 1]), lam)
-    state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
+    head = Signal(0.0, dt, u_grid.samples[:round(horizon / dt) + 1])
+    u_hats = [laplace_transform(head, lam) for lam in lams]
 
-    # r12: free evolution at fixed offsets, freed before the forced trajectory streams
+    # r12: free evolution at fixed offsets, freed with the input's head
+    # before the forced trajectory streams
     amp12 = float(np.sum(col_norm * np.abs(x)))
-    entry12 = _offset_entry("r12", _free_output(alpha, c, x, t_max, dt),
-                            c @ resolvent_apply(sys.gen, lam, x),
-                            [amp12 * np.exp(omega * s) for s in _S_VALUES],
-                            lam, omega, t_max, dt)
+    pieces = _free_output(alpha, c, x, t_max, dt)
+    entries12 = [_offset_entry("r12", pieces, c @ resolvent_apply(sys.gen, lam, x),
+                               [amp12 * np.exp(omega * s) for s in _S_VALUES],
+                               lam, omega, t_max, dt) for lam in lams]
+    del head, pieces
 
     # r23 and r13: one forced trajectory, streamed in row blocks
     r13_steps = [int(round((t_max + s) / dt)) for s in _S_VALUES]
     n_drive = _forced_rows(u_grid, steps) + 1  # the rows that may hold a g_k
     y = u_grid.samples @ sys.feedthrough.T
-    _, p1, p2 = _phis(lam * dt)
     n = sys.n_modes
-    num23 = np.zeros(n, dtype=complex)
+    # per probe: the segment integrals' phi1 and phi2 at lam dt, and r23's running sum
+    sums23 = [(lam, *_phis(lam * dt)[1:], np.zeros(n, dtype=complex)) for lam in lams]
     curv23 = np.empty((max(steps - 1, 0), 1))
     ends = {}
     k0, wide = 0, n
@@ -305,11 +317,12 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         # at knots lo..k1-2, with the operations and order of the passes over
         # the whole trajectory
         first, lo = max(k0, 1), max(k0 - 1, 1)
-        sums = np.empty((k1 - first + 1, wide), dtype=complex)
-        sums[0] = num23[:wide]
-        np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None],
-                    segment_weights(v[min(k0, 1):], dt, p1, p2), out=sums[1:])
-        num23[:wide] = np.sum(sums, axis=0)
+        for lam, p1, p2, num23 in sums23:
+            sums = np.empty((k1 - first + 1, wide), dtype=complex)
+            sums[0] = num23[:wide]
+            np.multiply(np.exp(-lam * (dt * np.arange(first, k1)))[:, None],
+                        segment_weights(v[min(k0, 1):], dt, p1, p2), out=sums[1:])
+            num23[:wide] = np.sum(sums, axis=0)
         d2 = _second_differences(v)
         nd = d2.shape[0]
         sq[:nd, :wide] = np.multiply(np.conjugate(d2), d2, out=d2).real
@@ -319,19 +332,22 @@ def verify_resolvent_entries(sys: SpectralSystem, lam: complex, x, u: Signal,
         k0 = k1
     del block, v, sums, d2, back, sq  # r13 runs without the loop's arrays
 
-    # r23: controlled state transformed componentwise
     t_end = dt * steps
     amp23 = float(np.linalg.norm(ends[steps])) * np.exp(-omega * t_end)
-    tail23 = _tail_bound(lam, t_end, omega, amp23)
-    res23 = float(np.linalg.norm(num23 - state_hat))
-    # the norm over modes in place of the worst component
-    quad23 = _quad_budget(curv23, 0.0, dt, lam)
-
-    # r13: forced output block at fixed offsets
     amps13 = [float(np.sum(col_norm * np.abs(ends[k]))) * np.exp(-omega * (-s + dt * k))
               for s, k in zip(_S_VALUES, r13_steps)]
-    entry13 = _offset_entry("r13", [(0.0, dt, y)], c @ state_hat + sys.feedthrough @ u_hat,
-                            amps13, lam, omega, t_max, dt)
-
-    entry23 = EntryResidual("r23", res23, quad23, tail23, res23 <= quad23 + tail23)
-    return ResolventCheck(lam, float(t_max), float(dt), _S_VALUES, (entry12, entry23, entry13))
+    checks = []
+    for (lam, _, _, num23), u_hat, entry12 in zip(sums23, u_hats, entries12):
+        state_hat = resolvent_apply(sys.gen, lam, sys.control @ u_hat)
+        # r23: controlled state transformed componentwise
+        tail23 = _tail_bound(lam, t_end, omega, amp23)
+        res23 = float(np.linalg.norm(num23 - state_hat))
+        # the norm over modes in place of the worst component
+        quad23 = _quad_budget(curv23, 0.0, dt, lam)
+        entry23 = EntryResidual("r23", res23, quad23, tail23, res23 <= quad23 + tail23)
+        # r13: forced output block at fixed offsets
+        entry13 = _offset_entry("r13", [(0.0, dt, y)], c @ state_hat + sys.feedthrough @ u_hat,
+                                amps13, lam, omega, t_max, dt)
+        checks.append(ResolventCheck(lam, float(t_max), float(dt), _S_VALUES,
+                                     (entry12, entry23, entry13)))
+    return checks

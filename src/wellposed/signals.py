@@ -618,8 +618,9 @@ def _csv_rows(table: np.ndarray) -> bytes:
 
 
 def read_signal_csv(path) -> Signal:
-    """Read the `time,c0,c1,...` format; each step must lie within
-    1e-9 * max(dt, 1) of the mean step dt, an absolute tolerance for dt <= 1."""
+    """Read the `time,c0,c1,...` format, or its complex form `time,c0.re,c0.im,...`;
+    each step must lie within 1e-9 * max(dt, 1) of the mean step dt, an
+    absolute tolerance for dt <= 1."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0].strip() != "time":
@@ -627,7 +628,10 @@ def read_signal_csv(path) -> Signal:
     header = [h.strip() for h in rows[0][1:]]
     if not header:
         raise SchemaError(f"{path}: no value columns")
-    complex_pairs = all(h.endswith((".re", ".im")) for h in header)
+    # each .re column pairs with the .im column after it, of the same name
+    complex_pairs = any(h.endswith((".re", ".im")) for h in header)
+    if complex_pairs and header != [h[:-3] + p for h in header[0::2] for p in (".re", ".im")]:
+        raise SchemaError(f"{path}: complex columns must come in <name>.re,<name>.im pairs")
     data = []
     for i, row in enumerate(rows[1:], start=2):
         if not row:
@@ -652,7 +656,5 @@ def read_signal_csv(path) -> Signal:
         raise SchemaError(f"{path}: time step is not constant (tol 1e-9 * max(dt, 1))")
     vals = arr[:, 1:]
     if complex_pairs:
-        if vals.shape[1] % 2 != 0:
-            raise SchemaError(f"{path}: unpaired .re/.im columns")
         vals = vals[:, 0::2] + 1j * vals[:, 1::2]
     return Signal(float(times[0]), float(dt), vals)

@@ -36,6 +36,11 @@ DEFAULT_TAIL_SHARE = 0.1
 _SCAN_UPPER_SLACK = 1e-12
 
 
+def _is_count(value) -> bool:
+    # a Python int >= 1 that is not a bool
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class TailMajorant(Protocol):
     def sum_from(self, start: int) -> float: ...
 
@@ -52,8 +57,8 @@ class HeatTail:
     def __post_init__(self):
         if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
             raise DomainError(f"lambda0 must be finite and > 0, got {self.lambda0}")
-        if not (math.isfinite(self.channels) and self.channels >= 1):
-            raise DomainError(f"channels must be finite and >= 1, got {self.channels}")
+        if not _is_count(self.channels):
+            raise DomainError(f"channels must be finite and an integer >= 1, got {self.channels}")
 
     def sum_from(self, start: int) -> float:
         # sum_{n>=0} 1/(n^2 + a^2) = (1 + a pi coth(a pi)) / (2 a^2)
@@ -357,8 +362,11 @@ def _parse_tail(raw) -> TailMajorant:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"tail: {exc}") from None
     if kind == "heat":
+        channels = raw.get("channels", 2)
+        if not _is_count(channels):
+            raise SchemaError(f"tail: channels must be an integer >= 1, got {channels!r}")
         try:
-            return HeatTail(float(raw.get("lambda0", 1.0)), int(raw.get("channels", 2)))
+            return HeatTail(float(raw.get("lambda0", 1.0)), channels)
         except (OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"tail: {exc}") from None
     raise SchemaError(f"tail: unknown type {kind!r}")
@@ -386,7 +394,7 @@ def build_system(desc: dict) -> SpectralSystem:
         if present:
             raise SchemaError(f"builtin system must not carry explicit fields: {present}")
         modes = desc.get("modes")
-        if not isinstance(modes, int) or isinstance(modes, bool) or modes < 1:
+        if not _is_count(modes):
             raise SchemaError(f"builtin system needs integer modes >= 1, got {modes!r}")
         from .heat import HeatConfig, build_heat_system
 

@@ -131,7 +131,7 @@ def test_resolvent_identities_within_budget():
         x /= np.linalg.norm(x)
         u = _poly_input(sys.n_inputs, 1e-3)
         for lam in (1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j):
-            report = verify_resolvent_entries(sys, lam, x, u, 40.0, 1e-3)
+            report = verify_resolvent_entries(sys, (lam,), x, u, 40.0, 1e-3)[0]
             assert report.passed
             for entry in report.entries:
                 assert entry.residual <= entry.quad_budget + entry.tail_budget

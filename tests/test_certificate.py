@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from wellposed import certificate
+from wellposed import certificate, laplace
 from wellposed.certificate import (
+    DEFAULT_PROBES,
     canonical_json,
     certify_system,
     system_digest,
@@ -163,6 +164,29 @@ class TestCertifySystem:
         assert cert["verdict"] == "NOT_CERTIFIED"
         assert all(not entry["verdict"] for entry in cert["compat"])
         assert any("compatibility" in f for f in cert["failures"])
+
+    def test_probes_share_one_trajectory_pass(self, monkeypatch):
+        # three probes: one free output and one forced trajectory of 40 001
+        # rows, where a call per probe would form each three times
+        real_free, real_blocks = laplace._free_output, laplace.exp_conv_blocks
+        free_calls, passes = [], []
+
+        def free(*args):
+            free_calls.append(args)
+            return real_free(*args)
+
+        def blocks(*args):
+            passes.append(0)
+            for block in real_blocks(*args):
+                passes[-1] += block.shape[0]
+                yield block
+
+        monkeypatch.setattr(laplace, "_free_output", free)
+        monkeypatch.setattr(laplace, "exp_conv_blocks", blocks)
+        cert = certify_system(build_heat_system(HeatConfig(n_modes=16)), gamma_steps=501)
+        assert len(cert["resolventResiduals"]) == len(DEFAULT_PROBES) == 3
+        assert len(free_calls) == 1
+        assert passes == [40001]
 
     def test_requires_probes(self):
         with pytest.raises(DomainError):

@@ -25,6 +25,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             HeatConfig(lambda0=0.0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_mode_count_must_be_an_integer(self, bad):
+        # numpy raised a bare TypeError from np.arange for these
+        with pytest.raises(DomainError, match="n_modes"):
+            build_heat_system(HeatConfig(n_modes=bad))
+
 
 class TestBuildSystem:
     def test_matrices_first_three_modes(self):

@@ -100,8 +100,8 @@ class TestLaplaceTransform:
 class TestVerifyResolventEntries:
     def test_scalar_system_all_entries_pass(self):
         sys = scalar_system(d=0.3)
-        check = verify_resolvent_entries(sys, 1.0, [1.0], poly_input(1e-3),
-                                         t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), [1.0], poly_input(1e-3),
+                                         t_max=40.0, dt=1e-3)[0]
         assert isinstance(check, ResolventCheck)
         assert [e.name for e in check.entries] == ["r12", "r23", "r13"]
         assert check.passed
@@ -113,7 +113,7 @@ class TestVerifyResolventEntries:
         # u = 1 on [0, 1]: state transform is (1 - 1/e)/(lam + 1) at lam = 1
         sys = scalar_system()
         u = Signal(0.0, 1.0, np.array([1.0, 1.0]))
-        check = verify_resolvent_entries(sys, 1.0, [0.0], u, t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), [0.0], u, t_max=40.0, dt=1e-3)[0]
         r23 = check.entries[1]
         assert r23.passed
         assert r23.residual <= 1e-5
@@ -121,28 +121,28 @@ class TestVerifyResolventEntries:
     def test_zero_input_zeroes_forced_entries(self):
         sys = scalar_system()
         u = Signal(0.0, 0.5, np.zeros((3, 1)))
-        check = verify_resolvent_entries(sys, 2.0, [1.0], u, t_max=20.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (2.0,), [1.0], u, t_max=20.0, dt=1e-3)[0]
         assert check.entries[1].residual == 0.0
         assert check.entries[2].residual == 0.0
         assert check.entries[0].residual > 0.0
 
     def test_zero_state_zeroes_free_entry(self):
         sys = scalar_system()
-        check = verify_resolvent_entries(sys, 1.0, [0.0], poly_input(1e-3),
-                                         t_max=20.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), [0.0], poly_input(1e-3),
+                                         t_max=20.0, dt=1e-3)[0]
         assert check.entries[0].residual == 0.0
 
     def test_complex_probe_passes(self):
         sys = scalar_system(alpha=-1.0 + 2.0j, b=1.0 - 0.5j, c=0.7j, d=0.1)
-        check = verify_resolvent_entries(sys, 1.0 + 1.0j, [1.0 - 1.0j],
-                                         poly_input(1e-3), t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0 + 1.0j,), [1.0 - 1.0j],
+                                         poly_input(1e-3), t_max=40.0, dt=1e-3)[0]
         assert check.passed
 
     def test_heat_system_passes(self):
         sys = build_heat_system(HeatConfig(n_modes=16))
         u = poly_input(1e-3, width=2)
-        check = verify_resolvent_entries(sys, 1.0, np.ones(16) / 4.0, u,
-                                         t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), np.ones(16) / 4.0, u,
+                                         t_max=40.0, dt=1e-3)[0]
         assert check.passed
         for entry in check.entries:
             assert entry.quad_budget + entry.tail_budget <= 1e-4
@@ -158,9 +158,9 @@ class TestVerifyResolventEntries:
 
         monkeypatch.setattr(laplace, "exp_conv_blocks", counting)
         sys = build_heat_system(HeatConfig(n_modes=8))
-        check = verify_resolvent_entries(sys, 1.0, np.ones(8) / 4.0,
+        check = verify_resolvent_entries(sys, (1.0,), np.ones(8) / 4.0,
                                          poly_input(1e-2, width=2),
-                                         t_max=10.0, dt=1e-2)
+                                         t_max=10.0, dt=1e-2)[0]
         assert check.s_values == (0.0, -0.5, -1.0)
         assert check.passed
         assert calls == [1000]
@@ -170,8 +170,8 @@ class TestVerifyResolventEntries:
         x = [0.8]
         residuals = {"r12": [], "r23": [], "r13": []}
         for dt in (4e-3, 2e-3, 1e-3):
-            check = verify_resolvent_entries(sys, 1.0, x, poly_input(dt),
-                                             t_max=10.0, dt=dt)
+            check = verify_resolvent_entries(sys, (1.0,), x, poly_input(dt),
+                                             t_max=10.0, dt=dt)[0]
             for entry in check.entries:
                 residuals[entry.name].append(entry.residual)
         for name, (r0, r1, r2) in residuals.items():
@@ -187,16 +187,16 @@ class TestVerifyResolventEntries:
                              np.array([[1.0], [0.5], [0.25]], dtype=complex),
                              np.array([[1.0, 1.0, 1.0]], dtype=complex),
                              np.zeros((1, 1), dtype=complex))
-        check = verify_resolvent_entries(sys, 1.0, [0.5, 0.3, 0.2],
-                                         poly_input(1e-3), t_max=20.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), [0.5, 0.3, 0.2],
+                                         poly_input(1e-3), t_max=20.0, dt=1e-3)[0]
         assert check.passed
         for entry in check.entries:
             assert entry.quad_budget + entry.tail_budget <= 1e-4
 
     def test_stiff_mode_amplitudes_stay_finite(self):
         sys = scalar_system(alpha=-50.0)
-        check = verify_resolvent_entries(sys, 1.0, [1.0], poly_input(1e-4),
-                                         t_max=10.0, dt=1e-4)
+        check = verify_resolvent_entries(sys, (1.0,), [1.0], poly_input(1e-4),
+                                         t_max=10.0, dt=1e-4)[0]
         assert check.passed
         for entry in check.entries:
             assert math.isfinite(entry.tail_budget)
@@ -206,19 +206,19 @@ class TestVerifyResolventEntries:
         sys = scalar_system()
         u = poly_input(1e-2)
         with pytest.raises(DomainError):
-            verify_resolvent_entries(sys, -1.0, [1.0], u, t_max=10.0, dt=1e-2)
+            verify_resolvent_entries(sys, (-1.0,), [1.0], u, t_max=10.0, dt=1e-2)
         with pytest.raises(DomainError):
-            verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=0.8, dt=1e-2)
+            verify_resolvent_entries(sys, (1.0,), [1.0], u, t_max=0.8, dt=1e-2)
         with pytest.raises(DomainError):
-            verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=math.inf, dt=1e-2)
+            verify_resolvent_entries(sys, (1.0,), [1.0], u, t_max=math.inf, dt=1e-2)
         with pytest.raises(DomainError):
-            verify_resolvent_entries(sys, 1.0, [1.0], u, t_max=10.0, dt=math.inf)
+            verify_resolvent_entries(sys, (1.0,), [1.0], u, t_max=10.0, dt=math.inf)
         late = Signal(5.0, 1.0, np.ones((7, 1)))
         with pytest.raises(DomainError):
-            verify_resolvent_entries(sys, 1.0, [1.0], late, t_max=10.0, dt=1e-2)
+            verify_resolvent_entries(sys, (1.0,), [1.0], late, t_max=10.0, dt=1e-2)
         wide = Signal(0.0, 0.5, np.ones((3, 2)))
         with pytest.raises(DimensionError):
-            verify_resolvent_entries(sys, 1.0, [1.0], wide, t_max=10.0, dt=1e-2)
+            verify_resolvent_entries(sys, (1.0,), [1.0], wide, t_max=10.0, dt=1e-2)
 
     @pytest.mark.parametrize("lam", [math.inf, complex(1.0, math.inf), math.nan,
                                      complex(math.nan, 1.0)])
@@ -229,7 +229,7 @@ class TestVerifyResolventEntries:
 
         monkeypatch.setattr(laplace, "resample", stage)
         with pytest.raises(DomainError, match="finite lambda"):
-            verify_resolvent_entries(scalar_system(), lam, [1.0], poly_input(1e-2),
+            verify_resolvent_entries(scalar_system(), (lam,), [1.0], poly_input(1e-2),
                                      t_max=10.0, dt=1e-2)
 
     @pytest.mark.parametrize("n_modes, rows", [(8, [1001]), (16, [218, 977])])
@@ -247,9 +247,9 @@ class TestVerifyResolventEntries:
 
         monkeypatch.setattr(signals, "row_blocks", counting)
         sys = build_heat_system(HeatConfig(n_modes=n_modes))
-        check = verify_resolvent_entries(sys, 1.0, np.ones(n_modes) / 4.0,
+        check = verify_resolvent_entries(sys, (1.0,), np.ones(n_modes) / 4.0,
                                          poly_input(1e-2, width=2),
-                                         t_max=10.0, dt=1e-2)
+                                         t_max=10.0, dt=1e-2)[0]
         assert check.passed
         assert counted == rows
 
@@ -297,7 +297,7 @@ class TestVerifyResolventEntries:
             return real(v, *args)
 
         monkeypatch.setattr(laplace, "segment_weights", spy)
-        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=10.0, dt=dt)
+        check = verify_resolvent_entries(sys, (1.0,), x, u, t_max=10.0, dt=dt)[0]
         assert seen and not any(seen)
         assert seen23 and not any(seen23)
         want = _reference_check(sys, 1.0, x, u, 10.0, dt)
@@ -311,7 +311,7 @@ class TestVerifyResolventEntries:
         # 226 * 0.5 > 1/2 asks for a layer of 24 dt = 12 > t_max - 1 = 9
         sys = build_heat_system(HeatConfig(n_modes=16))
         with pytest.raises(DomainError, match="dt"):
-            verify_resolvent_entries(sys, 1.0, np.ones(16) / 4.0,
+            verify_resolvent_entries(sys, (1.0,), np.ones(16) / 4.0,
                                      poly_input(0.5, width=2), t_max=10.0, dt=0.5)
 
 
@@ -441,7 +441,7 @@ def test_streamed_check_matches_unstreamed_reference(monkeypatch, case, block_ro
     x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
     u = poly_input(1e-2, width=sys.n_inputs)
     lam = 1.0 + 0.5j
-    check = verify_resolvent_entries(sys, lam, x, u, t_max=10.0, dt=1e-2)
+    check = verify_resolvent_entries(sys, (lam,), x, u, t_max=10.0, dt=1e-2)[0]
     want = _reference_check(sys, lam, x, u, 10.0, 1e-2)
     for entry, (name, residual, quad, tail, passed) in zip(check.entries, want):
         assert entry.name == name
@@ -490,13 +490,13 @@ def test_live_width_keeps_every_check_bit(monkeypatch, case, block_rows):
         return widths[-1]
 
     monkeypatch.setattr(laplace, "_live_width", spy)
-    check = verify_resolvent_entries(sys, lam, x, u, t_max=t_max, dt=dt)
+    check = verify_resolvent_entries(sys, (lam,), x, u, t_max=t_max, dt=dt)[0]
     assert min(widths) < sys.n_modes
     if case == "dying":
         assert min(widths) == 1
     for module in (laplace, signals):
         monkeypatch.setattr(module, "_live_width", lambda row: row.shape[0])
-    full = verify_resolvent_entries(sys, lam, x, u, t_max=t_max, dt=dt)
+    full = verify_resolvent_entries(sys, (lam,), x, u, t_max=t_max, dt=dt)[0]
     assert check.entries == full.entries
     # r23 and r13 read the forced trajectory. r12 does not, and its
     # table-sampled free output moves its residual by up to 5e-12 relative
@@ -529,8 +529,8 @@ def test_free_decay_passes_stop_at_live_columns(monkeypatch):
     monkeypatch.setattr(laplace, "exp_conv_blocks", counting)
     monkeypatch.setattr(laplace, "_live_width", spy)
     sys = build_heat_system(HeatConfig(n_modes=64))
-    check = verify_resolvent_entries(sys, 1.0, _probe_state(64), _probe_input(2, 1e-3),
-                                     t_max=40.0, dt=1e-3)
+    check = verify_resolvent_entries(sys, (1.0,), _probe_state(64), _probe_input(2, 1e-3),
+                                     t_max=40.0, dt=1e-3)[0]
     assert check.passed
     assert sum(rows for rows, _ in blocks) == 40001
     assert sum(rows * width for rows, width in blocks) < 0.25 * 40001 * 64
@@ -549,8 +549,8 @@ def test_live_width_scans_the_carried_width(monkeypatch):
 
         monkeypatch.setattr(module, "_live_width", spy)
     sys = build_heat_system(HeatConfig(n_modes=64))
-    check = verify_resolvent_entries(sys, 1.0, _probe_state(64), _probe_input(2, 1e-3),
-                                     t_max=40.0, dt=1e-3)
+    check = verify_resolvent_entries(sys, (1.0,), _probe_state(64), _probe_input(2, 1e-3),
+                                     t_max=40.0, dt=1e-3)[0]
     assert check.passed
     for module, seen in calls.items():
         assert seen[0][0] == 64 and min(width for _, width in seen) < 64, module
@@ -566,7 +566,7 @@ def test_resolvent_check_memory_bounded():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), x, u, t_max=40.0, dt=1e-3)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -583,7 +583,7 @@ def test_heat_check_memory_near_parent_peak():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), x, u, t_max=40.0, dt=1e-3)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -601,7 +601,7 @@ def test_heat1024_check_memory_holds_no_drive():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        check = verify_resolvent_entries(sys, 1.0, x, u, t_max=40.0, dt=1e-3)
+        check = verify_resolvent_entries(sys, (1.0,), x, u, t_max=40.0, dt=1e-3)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -630,8 +630,8 @@ def test_passes_run_on_contiguous_arrays(monkeypatch):
                          (signals, "_floor")):
         spying(module, name)
     sys = build_heat_system(HeatConfig(n_modes=64))
-    check = verify_resolvent_entries(sys, 1.0, _probe_state(64), _probe_input(2, 1e-3),
-                                     t_max=40.0, dt=1e-3)
+    check = verify_resolvent_entries(sys, (1.0,), _probe_state(64), _probe_input(2, 1e-3),
+                                     t_max=40.0, dt=1e-3)[0]
     assert check.passed
     for name, seen in operands.items():
         assert any(a.ndim == 2 and 2 < a.shape[1] < 64 for a in seen), name
@@ -652,8 +652,8 @@ def test_offset_pieces_weighted_once(monkeypatch, n_modes, rows):
 
     monkeypatch.setattr(laplace, "segment_weights", counting)
     sys = build_heat_system(HeatConfig(n_modes=n_modes))
-    check = verify_resolvent_entries(sys, 1.0, np.ones(n_modes) / 4.0,
-                                     poly_input(1e-2, width=2), t_max=10.0, dt=1e-2)
+    check = verify_resolvent_entries(sys, (1.0,), np.ones(n_modes) / 4.0,
+                                     poly_input(1e-2, width=2), t_max=10.0, dt=1e-2)[0]
     assert check.passed
     assert counted == rows
 
@@ -694,6 +694,39 @@ def test_offset_entry_matches_per_offset_transforms(case):
     assert laplace._offset_entry(*args) == _per_offset_entry(*args)
 
 
+@pytest.mark.parametrize("case", ["heat16", "complex"])
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_probes_in_one_call_equal_one_probe_calls(monkeypatch, case, block_rows):
+    # real, complex and repeated probes share the trajectories and keep
+    # every bit of one-probe calls, in the order given; heat 16 has a stiff
+    # layer at dt = 1e-2, and 7-row blocks run r23's per-probe sums many times
+    sys = build_heat_system(HeatConfig(n_modes=16)) if case == "heat16" \
+        else _random_complex_system()
+    if block_rows:
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", block_rows * sys.n_modes)
+    x = np.linspace(1.0, 0.2, sys.n_modes) * (1.0 - 0.5j)
+    u = poly_input(1e-2, width=sys.n_inputs)
+    probes = (2.0, 0.7 + 0.4j, 1.0, 0.3 - 1.5j, 0.7 + 0.4j)
+    checks = verify_resolvent_entries(sys, probes, x, u, t_max=10.0, dt=1e-2)
+    assert [check.lam for check in checks] == [complex(lam) for lam in probes]
+    assert checks == [verify_resolvent_entries(sys, (lam,), x, u, t_max=10.0, dt=1e-2)[0]
+                      for lam in probes]
+
+
+@pytest.mark.parametrize("probes", [(), [], (1.0, -1.0), (1.0, 2.0j, 2.0),
+                                    (1.0, math.nan), (1.0 + 1.0j, complex(1.0, math.inf))])
+def test_probe_list_checked_before_any_transform(monkeypatch, probes):
+    # an empty list, or one bad probe among good ones, raises up front
+    def stage(*args, **kw):
+        raise AssertionError("a transform ran")
+
+    for name in ("resample", "laplace_transform", "_free_output", "exp_conv_blocks"):
+        monkeypatch.setattr(laplace, name, stage)
+    with pytest.raises(DomainError, match="finite lambda"):
+        verify_resolvent_entries(scalar_system(), probes, [1.0], poly_input(1e-2),
+                                 t_max=10.0, dt=1e-2)
+
+
 def test_offset_entry_rejects_non_finite_samples(monkeypatch):
     # each offset's transform reads a Signal, which refuses inf and nan
     real = laplace._free_output
@@ -706,6 +739,6 @@ def test_offset_entry_rejects_non_finite_samples(monkeypatch):
 
     monkeypatch.setattr(laplace, "_free_output", poisoned)
     with pytest.raises(DomainError, match="finite"):
-        verify_resolvent_entries(scalar_system(), 1.0, [1.0], poly_input(1e-2),
+        verify_resolvent_entries(scalar_system(), (1.0,), [1.0], poly_input(1e-2),
                                  t_max=10.0, dt=1e-2)
 

@@ -122,8 +122,8 @@ def test_free_output_has_one_sampler(monkeypatch):
     sys = _heat(16)
     xs = _heat_step_state(16, 1e-2, 4.0)
     # heat 16 at dt = 1e-2 has a stiff layer of 217 fine steps before its dt grid
-    assert verify_resolvent_entries(sys, 1.0, xs.state, xs.future_input,
-                                    t_max=10.0, dt=1e-2).passed
+    assert verify_resolvent_entries(sys, (1.0,), xs.state, xs.future_input,
+                                    t_max=10.0, dt=1e-2)[0].passed
     assert calls == [218, 977]
     calls.clear()
     observe_trajectory(sys, 0.5, xs.state, 1e-2)

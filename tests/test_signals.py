@@ -712,6 +712,24 @@ def test_csv_round_trip_complex(tmp_path):
     np.testing.assert_array_equal(back.samples, sig.samples)
 
 
+@pytest.mark.parametrize("header", ["c0.re,c1.re", "c0.im,c0.re", "c0.re,c0.im,c1",
+                                    "c0,c0.im", "c0.re,c0.im,c1.re"])
+def test_csv_rejects_unpaired_complex_columns(tmp_path, header):
+    # c0.re,c1.re read as one channel 1+2j, and c0.im,c0.re with its parts swapped
+    path = tmp_path / "bad.csv"
+    values = ",".join(str(k + 1) for k in range(header.count(",") + 1))
+    path.write_text(f"time,{header}\n0.0,{values}\n0.1,{values}\n")
+    with pytest.raises(SchemaError, match=r"bad.csv: complex columns must come in"):
+        read_signal_csv(path)
+
+
+def test_csv_pairs_complex_columns_by_stem(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("time,a.re,a.im,b.re,b.im\n0.0,1,2,3,4\n0.5,5,6,7,8\n")
+    np.testing.assert_array_equal(read_signal_csv(path).samples,
+                                  [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+
+
 def _reference_write_signal_csv(path, sig):
     # the per-value csv.writer writer that write_signal_csv replaced
     real = not np.iscomplexobj(sig.samples) or not np.any(sig.samples.imag != 0.0)

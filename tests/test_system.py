@@ -408,6 +408,23 @@ def test_tails_reject_non_finite_fields(bad):
                           "observation": [[1.0]], "tail": tail})
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, 0, -1, "2"])
+def test_heat_tail_channels_must_be_integers(bad):
+    # int() read 2.9 as 2 channels, scaling the declared majorant by 2/2.9
+    with pytest.raises(DomainError, match="channels"):
+        HeatTail(1.0, bad)
+    with pytest.raises(SchemaError, match="channels"):
+        build_system({"eigenvalues": [-1.0], "control": [[1.0]], "observation": [[1.0]],
+                      "tail": {"type": "heat", "channels": bad}})
+
+
+def test_heat_tail_reads_integer_channels():
+    sys = build_system({"eigenvalues": [-1.0], "control": [[1.0]], "observation": [[1.0]],
+                        "tail": {"type": "heat", "channels": 3}})
+    assert sys.tail == HeatTail(1.0, 3)
+    assert sys.tail.sum_from(1) == pytest.approx(1.5 * HeatTail(1.0, 2).sum_from(1))
+
+
 def test_describe_system_shape():
     desc = describe_system(build_system({"builtin": "heat", "modes": 3}))
     assert desc["schema"] == "wellposed.system@1"
